@@ -54,7 +54,7 @@ def _default_expand_prec(ctx):
 
 def cmd_expand(ctx, args):
     expr = FormExpr.parse(ctx, args.expr)
-    prec = args.prec if args.prec else _default_expand_prec(ctx)
+    prec = args.prec if args.prec is not None else _default_expand_prec(ctx)
     series = expand(expr, prec)
     if args.format == "json":
         _emit_json(series.json_dict())
@@ -185,13 +185,20 @@ def cmd_residue(ctx, args):
 
 
 def cmd_selftest(ctx, args):
-    lines, ok = run_selftest(profile=args.profile, jobs=args.jobs)
+    lines, ok = run_selftest(profile=args.profile)
     if args.format == "json":
         _emit_json({"profile": args.profile, "lines": lines, "all_ok": ok})
     else:
         for line in lines:
             print(line)
     return 0 if ok else 1
+
+
+def _positive_int(text):
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{value} is not a positive integer")
+    return value
 
 
 def _add_globals(parser, suppress):
@@ -205,16 +212,12 @@ def _add_globals(parser, suppress):
     parser.add_argument("--r", type=int,
                         help="extension degree, q = p^r (default 1)",
                         **({"default": 1} if not suppress else kw))
-    parser.add_argument("--prec", type=int,
+    parser.add_argument("--prec", type=_positive_int,
                         help="raise the working precision",
                         **({"default": None} if not suppress else kw))
     parser.add_argument("--format", choices=("text", "json"),
                         help="output format",
                         **({"default": "text"} if not suppress else kw))
-    parser.add_argument("--jobs", type=int,
-                        help="parallel workers for sweeps (results are "
-                             "identical to sequential runs)",
-                        **({"default": 1} if not suppress else kw))
 
 
 def build_parser():

@@ -61,5 +61,5 @@ class HypothesisViolated(DrinfeldError):
     """A stated hypothesis of a congruence check fails; the message names it."""
 
 
-class ExprError(DrinfeldError):
-    """A form expression could not be parsed or evaluated."""
+class ExprError(DrinfeldError, ValueError):
+    """An expression could not be parsed or evaluated."""

@@ -5,7 +5,7 @@ Polynomials are stored densely as small integer coordinate arrays, one row
 per basis coordinate of the field over its prime field.  Multiplication is
 integer convolution followed by reduction, so the heavy kernels run inside
 numpy while every value stays exact.  All objects are immutable after
-construction and safe to share between threads.
+construction.
 """
 
 from __future__ import annotations
@@ -15,7 +15,13 @@ import re
 
 import numpy as np
 
-from .errors import BadDegree, DivisionByZero, MixedField, NotOddPrime
+from .errors import (
+    BadDegree,
+    DivisionByZero,
+    ExprError,
+    MixedField,
+    NotOddPrime,
+)
 
 NEG_INF = float("-inf")  # degree of the zero polynomial
 
@@ -173,6 +179,10 @@ class FieldCtx:
             raise NotOddPrime(f"p = {p} is not an odd prime")
         if r < 1:
             raise BadDegree(f"extension degree r = {r} must be at least 1")
+        if r > 1 and p ** r > _TABLE_LIMIT:
+            raise ValueError(
+                f"extension field of order {p ** r} is too large for "
+                "table-based arithmetic")
         self.p = p
         self.r = r
         self.q = p ** r
@@ -181,10 +191,6 @@ class FieldCtx:
         self._ppow = tuple(p ** i for i in range(r))
         if r > 1:
             self._wred = self._reduction_rows()
-            if self.q > _TABLE_LIMIT:
-                raise ValueError(
-                    f"extension field of order {self.q} is too large for "
-                    "table-based arithmetic")
             self._exp, self._log = self._build_tables()
         else:
             self._wred = np.zeros((0, 1), dtype=np.int64)
@@ -320,10 +326,6 @@ class FieldCtx:
         for i in range(self.r - 1, -1, -1):
             code = code * self.p + coords[i] % self.p
         return FqElem(self, code)
-
-    def elements(self):
-        """All field elements in code order."""
-        return (FqElem(self, c) for c in range(self.q))
 
     def __eq__(self, other):
         return isinstance(other, FieldCtx) and self.key == other.key
@@ -946,177 +948,155 @@ class RatFunc:
 
 
 # ---------------------------------------------------------------------------
-# Canonical text parsing (accepts exactly the emitted grammar, with
-# flexible whitespace)
+# Expression parsing: one grammar for polynomials, rational functions and,
+# with a table of named atoms, form expressions.  Every rendering this
+# package prints parses back to the value it renders.
 
-_TOKEN_RE = re.compile(r"\s*(?:(\d+)|([Tw])|(\^)|(\*)|(\+)|(\()|(\))|(/))")
+_TOKEN_RE = re.compile(
+    r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z_]\w*)|(?P<op>[-+*/^()]))")
 
 
-def _tokenize(s):
-    tokens = []
+def _tokenize(text):
+    toks = []
     pos = 0
-    while pos < len(s):
-        m = _TOKEN_RE.match(s, pos)
+    while pos < len(text):
+        m = _TOKEN_RE.match(text, pos)
         if m is None:
-            rest = s[pos:].strip()
+            rest = text[pos:].strip()
             if not rest:
                 break
-            raise ValueError(f"cannot tokenize {rest[:12]!r}")
-        if m.group(1) is not None:
-            tokens.append(("int", int(m.group(1))))
+            raise ExprError(f"cannot tokenize {rest[:16]!r}")
+        if m.group("int") is not None:
+            toks.append(("int", int(m.group("int"))))
+        elif m.group("name") is not None:
+            toks.append(("name", m.group("name")))
         else:
-            tokens.append((m.group(0).strip(), None))
+            toks.append((m.group("op"), None))
         pos = m.end()
-    return tokens
+    return toks
 
 
-class _PolyParser:
-    def __init__(self, ctx, tokens):
+class _ExprParser:
+    """Recursive descent over: expr := '-'? term (('+'|'-') term)*,
+    term := factor (('*'|'/') factor)*, factor := atom ('^' '-'? int)?,
+    atom := int | 'T' | 'w' | name | '(' expr ')'.
+
+    Integers, T and w evaluate to RatFunc.  Any other name is looked up
+    in ``names``, whose values must combine with RatFunc under + - * and
+    integer powers.
+    """
+
+    def __init__(self, ctx, text, names):
         self.ctx = ctx
-        self.toks = tokens
+        self.text = text
+        self.names = names
+        self.toks = _tokenize(text)
         self.pos = 0
 
-    def peek(self):
-        return self.toks[self.pos][0] if self.pos < len(self.toks) else None
+    def _peek(self):
+        return self.toks[self.pos] if self.pos < len(self.toks) else (None,
+                                                                      None)
 
-    def take(self, kind=None):
-        if self.pos >= len(self.toks):
-            raise ValueError("unexpected end of input")
-        tok = self.toks[self.pos]
+    def _take(self, kind=None):
+        tok = self._peek()
+        if tok[0] is None:
+            raise ExprError("unexpected end of expression")
         if kind is not None and tok[0] != kind:
-            raise ValueError(f"expected {kind!r}, found {tok[0]!r}")
+            raise ExprError(f"expected {kind!r}, found {tok[0]!r}")
         self.pos += 1
         return tok
 
-    def parse_int(self):
-        tok = self.take("int")
-        return tok[1]
+    def parse(self):
+        out = self._expr()
+        if self.pos != len(self.toks):
+            raise ExprError(
+                f"trailing input after position {self.pos} in "
+                f"{self.text!r}")
+        return out
 
-    def parse_wpart(self):
-        # "w" with an optional exponent; returns the power of w
-        self.take("w")
-        if self.peek() == "^":
-            self.take("^")
-            return self.parse_int()
-        return 1
-
-    def parse_wmono(self):
-        # single monomial in w; returns an FqElem
-        ctx = self.ctx
-        if self.peek() == "int":
-            c = self.parse_int()
-            if self.peek() == "*":
-                save = self.pos
-                self.take("*")
-                if self.peek() == "w":
-                    i = self.parse_wpart()
-                    return self._w_power(i) * ctx.element(c)
-                self.pos = save
-            return ctx.element(c)
-        i = self.parse_wpart()
-        return self._w_power(i)
-
-    def _w_power(self, i):
-        ctx = self.ctx
-        if ctx.r == 1:
-            raise ValueError("generator w is not available over a prime field")
-        if i >= ctx.r:
-            raise ValueError(f"w^{i} is not a reduced coordinate expression")
-        coords = [0] * ctx.r
-        coords[i] = 1
-        return ctx.element(coords)
-
-    def parse_wpoly(self):
-        acc = self.parse_wmono()
-        while self.peek() == "+":
-            self.take("+")
-            acc = acc + self.parse_wmono()
+    def _expr(self):
+        negate = False
+        if self._peek()[0] == "-":
+            self._take()
+            negate = True
+        acc = self._term()
+        if negate:
+            acc = -acc
+        while self._peek()[0] in ("+", "-"):
+            op = self._take()[0]
+            t = self._term()
+            acc = acc + t if op == "+" else acc - t
         return acc
 
-    def parse_tpow(self):
-        self.take("T")
-        if self.peek() == "^":
-            self.take("^")
-            return self.parse_int()
-        return 1
+    def _term(self):
+        acc = self._factor()
+        while self._peek()[0] in ("*", "/"):
+            op = self._take()[0]
+            f = self._factor()
+            acc = acc * (f if op == "*" else self._power(f, -1))
+        return acc
 
-    def parse_pterm(self):
-        # returns (exponent of T, FqElem coefficient)
+    def _factor(self):
+        base = self._atom()
+        if self._peek()[0] == "^":
+            self._take()
+            sign = 1
+            if self._peek()[0] == "-":
+                self._take()
+                sign = -1
+            tok = self._take("int")
+            return self._power(base, sign * tok[1])
+        return base
+
+    @staticmethod
+    def _power(base, n):
+        if n < 0 and base.is_zero():
+            raise ExprError("division by zero")
+        return base ** n
+
+    def _atom(self):
         ctx = self.ctx
-        head = self.peek()
-        if head == "(":
-            self.take("(")
-            c = self.parse_wpoly()
-            self.take(")")
-            if self.peek() == "*":
-                self.take("*")
-                return self.parse_tpow(), c
-            return 0, c
-        if head == "T":
-            return self.parse_tpow(), ctx.one()
-        if head == "w":
-            return 0, self._w_power(self.parse_wpart())
-        if head == "int":
-            c = self.parse_int()
-            if self.peek() == "*":
-                self.take("*")
-                if self.peek() == "T":
-                    return self.parse_tpow(), ctx.element(c)
-                if self.peek() == "w":
-                    return 0, self._w_power(self.parse_wpart()) * ctx.element(c)
-                raise ValueError("expected T or w after '*'")
-            return 0, ctx.element(c)
-        raise ValueError(f"unexpected token {head!r} in polynomial")
+        kind, value = self._peek()
+        if kind == "(":
+            self._take()
+            inner = self._expr()
+            self._take(")")
+            return inner
+        if kind == "int":
+            self._take()
+            return RatFunc.constant(ctx, value)
+        if kind == "name":
+            self._take()
+            if value == "T":
+                return RatFunc(Poly.T(ctx))
+            if value == "w":
+                if ctx.r == 1:
+                    raise ExprError("w is not defined over a prime field")
+                coords = [0] * ctx.r
+                coords[1] = 1
+                return RatFunc.constant(ctx, ctx.element(coords))
+            if value not in self.names:
+                raise ExprError(f"unknown name {value!r}")
+            return self.names[value]
+        raise ExprError(f"unexpected token {kind!r}")
 
-    def parse_poly(self):
-        pairs = [self.parse_pterm()]
-        while self.peek() == "+":
-            self.take("+")
-            pairs.append(self.parse_pterm())
-        return Poly.from_pairs(self.ctx, pairs)
+
+def parse_expr(ctx, text, names=None):
+    """Evaluate an expression over F_q(T) and the atoms in ``names``."""
+    return _ExprParser(ctx, text, names or {}).parse()
 
 
 def poly_parse(ctx, text):
-    """Parse the canonical polynomial rendering back into a Poly."""
-    parser = _PolyParser(ctx, _tokenize(text))
-    out = parser.parse_poly()
-    if parser.pos != len(parser.toks):
-        raise ValueError(f"trailing input near token {parser.pos}")
-    return out
+    """Parse an expression whose value lies in F_q[T]."""
+    out = parse_expr(ctx, text)
+    if not out.is_integral():
+        raise ExprError(f"{text!r} is not a polynomial")
+    return out.num
 
 
 def ratfunc_parse(ctx, text):
-    """Parse either a polynomial or the "(num)/(den)" rendering."""
-    tokens = _tokenize(text)
-    if tokens and tokens[0][0] == "(":
-        depth = 0
-        for idx, (kind, _) in enumerate(tokens):
-            if kind == "(":
-                depth += 1
-            elif kind == ")":
-                depth -= 1
-                if depth == 0:
-                    close = idx
-                    break
-        else:
-            raise ValueError("unbalanced parentheses")
-        if close + 1 < len(tokens) and tokens[close + 1][0] == "/":
-            nump = _PolyParser(ctx, tokens[1:close])
-            num = nump.parse_poly()
-            if nump.pos != close - 1:
-                raise ValueError("bad numerator")
-            if (tokens[close + 2][0] != "(" or tokens[-1][0] != ")"):
-                raise ValueError("denominator must be parenthesized")
-            denp = _PolyParser(ctx, tokens[close + 3:-1])
-            den = denp.parse_poly()
-            if denp.pos != len(tokens) - close - 4:
-                raise ValueError("bad denominator")
-            return RatFunc(num, den)
-    parser = _PolyParser(ctx, tokens)
-    out = parser.parse_poly()
-    if parser.pos != len(tokens):
-        raise ValueError(f"trailing input near token {parser.pos}")
-    return RatFunc(out)
+    """Parse an expression with a value in F_q(T)."""
+    return parse_expr(ctx, text)
 
 
 # ---------------------------------------------------------------------------

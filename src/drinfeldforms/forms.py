@@ -22,8 +22,6 @@ Delta_W^(r-j) Delta_T^j E_T^l for j = 0..r.
 
 from __future__ import annotations
 
-import re
-import threading
 from dataclasses import dataclass
 
 from .carlitz import monic_series_sum
@@ -33,7 +31,7 @@ from .errors import (
     EmptySpace,
     ExprError,
 )
-from .fieldpoly import FieldCtx, Poly, RatFunc, special_modulus
+from .fieldpoly import FieldCtx, Poly, RatFunc, parse_expr, special_modulus
 from .useries import USeries
 
 GENERATOR_NAMES = ("Delta_W", "Delta_T", "E_T", "g1", "h", "E")
@@ -57,10 +55,6 @@ def generator_valuation(ctx, name):
     if name == "Delta_T":
         return ctx.q - 1
     return 0
-
-
-def generator_is_modular(name):
-    return name != "E"
 
 
 # ---------------------------------------------------------------------------
@@ -166,7 +160,6 @@ class _FormCache:
     """
 
     def __init__(self):
-        self._lock = threading.Lock()
         self._gens = {}    # (ctx.key, name) -> USeries
         self._powers = {}  # (ctx.key, name, exp) -> USeries
 
@@ -177,17 +170,13 @@ class _FormCache:
         key = (ctx.key, name)
         cached = self._gens.get(key)
         if cached is None or cached.prec < prec:
-            with self._lock:
-                cached = self._gens.get(key)
-                if cached is None or cached.prec < prec:
-                    target = max(prec, int(1.5 * cached.prec) if cached
-                                 else prec)
-                    cached = _BUILDERS[name](ctx, target)
-                    self._gens[key] = cached
-                    stale = [k for k in self._powers
-                             if k[0] == ctx.key and k[1] == name]
-                    for k in stale:
-                        del self._powers[k]
+            target = max(prec, int(1.5 * cached.prec) if cached else prec)
+            cached = _BUILDERS[name](ctx, target)
+            self._gens[key] = cached
+            stale = [k for k in self._powers
+                     if k[0] == ctx.key and k[1] == name]
+            for k in stale:
+                del self._powers[k]
         return cached.truncate(prec)
 
     def power(self, ctx, name, exp, prec):
@@ -207,14 +196,12 @@ class _FormCache:
             out = base ** exp
         else:
             out = base.inverse() ** (-exp)
-        with self._lock:
-            self._powers[key] = out
+        self._powers[key] = out
         return out.truncate(min(prec, out.prec))
 
     def clear(self):
-        with self._lock:
-            self._gens.clear()
-            self._powers.clear()
+        self._gens.clear()
+        self._powers.clear()
 
 
 _CACHE = _FormCache()
@@ -381,9 +368,14 @@ class FormExpr:
         other = self._coerce(other)
         return FormExpr(self.ctx, self.terms + other.terms)
 
+    __radd__ = __add__
+
     def __sub__(self, other):
         other = self._coerce(other)
         return self + (-other)
+
+    def __rsub__(self, other):
+        return (-self) + other
 
     def __neg__(self):
         return FormExpr(self.ctx, [(-c, m) for c, m in self.terms])
@@ -398,6 +390,8 @@ class FormExpr:
                     powers[name] = powers.get(name, 0) + e
                 out.append((c1 * c2, tuple(powers.items())))
         return FormExpr(self.ctx, out)
+
+    __rmul__ = __mul__
 
     def __pow__(self, n):
         if n == 0:
@@ -484,124 +478,11 @@ class FormExpr:
     # -- parsing ----------------------------------------------------------
     @classmethod
     def parse(cls, ctx, text):
-        return _ExprParser(ctx, text).parse()
-
-
-_EXPR_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<int>\d+)|(?P<name>Delta_W|Delta_T|E_T|g1|h|E|T|w)"
-    r"|(?P<op>[-+*^()/]))")
-
-
-class _ExprParser:
-    """Recursive descent over: expr := term (('+'|'-') term)*,
-    term := factor ('*' factor)*, factor := atom ('^' int)?,
-    atom := generator | scalar | '(' expr ')'."""
-
-    def __init__(self, ctx, text):
-        self.ctx = ctx
-        self.text = text
-        self.toks = self._tokenize(text)
-        self.pos = 0
-
-    @staticmethod
-    def _tokenize(text):
-        toks = []
-        pos = 0
-        while pos < len(text):
-            m = _EXPR_TOKEN_RE.match(text, pos)
-            if m is None:
-                rest = text[pos:].strip()
-                if not rest:
-                    break
-                raise ExprError(f"cannot tokenize {rest[:16]!r}")
-            if m.group("int") is not None:
-                toks.append(("int", int(m.group("int"))))
-            elif m.group("name") is not None:
-                toks.append(("name", m.group("name")))
-            else:
-                toks.append((m.group("op"), None))
-            pos = m.end()
-        return toks
-
-    def _peek(self):
-        return self.toks[self.pos] if self.pos < len(self.toks) else (None,
-                                                                      None)
-
-    def _take(self, kind=None):
-        tok = self._peek()
-        if tok[0] is None:
-            raise ExprError("unexpected end of expression")
-        if kind is not None and tok[0] != kind:
-            raise ExprError(f"expected {kind!r}, found {tok[0]!r}")
-        self.pos += 1
-        return tok
-
-    def parse(self):
-        out = self._expr()
-        if self.pos != len(self.toks):
-            raise ExprError(
-                f"trailing input after position {self.pos} in "
-                f"{self.text!r}")
-        return out
-
-    def _expr(self):
-        negate = False
-        if self._peek()[0] == "-":
-            self._take()
-            negate = True
-        acc = self._term()
-        if negate:
-            acc = -acc
-        while self._peek()[0] in ("+", "-"):
-            op = self._take()[0]
-            t = self._term()
-            acc = acc + t if op == "+" else acc - t
-        return acc
-
-    def _term(self):
-        acc = self._factor()
-        while self._peek()[0] in ("*", "/"):
-            op = self._take()[0]
-            f = self._factor()
-            acc = acc * (f if op == "*" else f ** -1)
-        return acc
-
-    def _factor(self):
-        base = self._atom()
-        if self._peek()[0] == "^":
-            self._take()
-            sign = 1
-            if self._peek()[0] == "-":
-                self._take()
-                sign = -1
-            tok = self._take("int")
-            return base ** (sign * tok[1])
-        return base
-
-    def _atom(self):
-        kind, value = self._peek()
-        if kind == "(":
-            self._take()
-            inner = self._expr()
-            self._take(")")
-            return inner
-        if kind == "int":
-            self._take()
-            return FormExpr.scalar(self.ctx, value)
-        if kind == "name":
-            self._take()
-            if value == "T":
-                return FormExpr.scalar(self.ctx, Poly.T(self.ctx))
-            if value == "w":
-                if self.ctx.r == 1:
-                    raise ExprError("w is not defined over a prime field")
-                coords = [0] * self.ctx.r
-                coords[1] = 1
-                return FormExpr.scalar(
-                    self.ctx,
-                    Poly.constant(self.ctx, self.ctx.element(coords)))
-            return FormExpr.generator(self.ctx, value)
-        raise ExprError(f"unexpected token {kind!r}")
+        """Parse text in the package's expression grammar (see
+        ``fieldpoly.parse_expr``) with the six generators as names."""
+        names = {n: cls.generator(ctx, n) for n in GENERATOR_NAMES}
+        out = parse_expr(ctx, text, names)
+        return out if isinstance(out, FormExpr) else cls.scalar(ctx, out)
 
 
 # ---------------------------------------------------------------------------

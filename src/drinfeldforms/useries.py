@@ -323,10 +323,10 @@ class USeries:
         pos = []
         for e, c in self.coeffs.items():
             if e < 0:
-                # exact: c * (1 + T u^(q-1))^|e| * u^(qe)
-                m = -e
-                pw = _binomial_power(ctx, T, m)
-                terms = {q * e + j: cf * c for j, cf in pw.items()
+                # exact: c * (1 + T u^(q-1))^|e| * u^(qe); the power is a
+                # polynomial of degree |e|(q-1) in u, so its window holds it
+                pw = USeries(ctx, {0: 1, q - 1: T}, -e * (q - 1) + 1) ** -e
+                terms = {q * e + j: cf * c for j, cf in pw.terms()
                          if q * e + j < out_prec}
                 parts.append(USeries(ctx, terms, out_prec))
             elif e == 0:
@@ -410,33 +410,3 @@ def _gcd(a, b):
     while b:
         a, b = b, a % b
     return a
-
-
-def _binomial_power(ctx, T, m):
-    """Coefficients of (1 + T u^(q-1))^m as {exponent: RatFunc}."""
-    q = ctx.q
-    out = {0: RatFunc.constant(ctx, 1)}
-    cur = {0: Poly.one(ctx)}
-    base = {0: Poly.one(ctx), q - 1: Poly.T(ctx)}
-    n = m
-    # binary powering over plain dicts; everything here is a polynomial
-    def mul(x, y):
-        z = {}
-        for e1, c1 in x.items():
-            for e2, c2 in y.items():
-                e = e1 + e2
-                v = c1 * c2
-                z[e] = z.get(e, Poly.zero(ctx)) + v
-        return {e: c for e, c in z.items() if not c.is_zero()}
-
-    acc = None
-    b = base
-    while n:
-        if n & 1:
-            acc = b if acc is None else mul(acc, b)
-        n >>= 1
-        if n:
-            b = mul(b, b)
-    if acc is None:
-        acc = cur
-    return {e: RatFunc(c) for e, c in acc.items()}

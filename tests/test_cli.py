@@ -1,6 +1,7 @@
 import json
 
 import jsonschema
+import pytest
 
 from drinfeldforms.cli import main
 
@@ -111,6 +112,23 @@ def test_expand_malformed_exits_2(capsys):
     code, _, err = run(capsys, ["expand", "Delta_Q + ("])
     assert code == 2
     assert "error" in err
+
+
+@pytest.mark.parametrize("prec", ["0", "-5"])
+def test_expand_bad_prec_exit_2(capsys, prec):
+    with pytest.raises(SystemExit) as exc:
+        main(["expand", "E_T", "--prec", prec])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "--prec" in out.err
+
+
+def test_jobs_flag_is_gone(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--jobs", "2", "dim", "--k", "4", "--l", "1"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
 
 
 # ---------------------------------------------------------------------------

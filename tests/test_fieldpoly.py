@@ -2,9 +2,11 @@ import random
 
 import pytest
 
+from drinfeldforms import fieldpoly
 from drinfeldforms.errors import (
     BadDegree,
     DivisionByZero,
+    ExprError,
     MixedField,
     NotOddPrime,
 )
@@ -16,6 +18,7 @@ from drinfeldforms.fieldpoly import (
     lcm_monics,
     left_kernel,
     make_field,
+    parse_expr,
     poly_parse,
     ratfunc_parse,
     special_modulus,
@@ -75,6 +78,15 @@ def test_make_field_rejects_bad_input():
         make_field(1, 1)
     with pytest.raises(BadDegree):
         make_field(3, 0)
+
+
+def test_make_field_too_large_fails_before_modulus_search(monkeypatch):
+    def no_search(p, r):
+        raise AssertionError("modulus search ran before the size check")
+
+    monkeypatch.setattr(fieldpoly, "_smallest_irreducible", no_search)
+    with pytest.raises(ValueError):
+        make_field(3, 14)
 
 
 def test_make_field_deterministic():
@@ -391,3 +403,32 @@ def test_rref_canonical():
     assert red.entries[0][0].is_one()
     assert red.entries[0][1] == RatFunc(T)
     assert all(e.is_zero() for e in red.entries[1])
+
+
+def test_poly_parse_rejects_non_polynomial():
+    with pytest.raises(ValueError):
+        poly_parse(F3, "(1)/(T)")
+
+
+def test_parse_accepts_full_grammar():
+    T = Poly.T(F3)
+    assert poly_parse(F3, "T*T") == T ** 2
+    assert poly_parse(F3, "2-T") == 2 - T
+    assert poly_parse(F3, "-(T+1)^2") == -((T + 1) ** 2)
+    assert ratfunc_parse(F3, "T^-2 / (1 + T)") == RatFunc(
+        Poly.one(F3), T ** 2 * (T + 1))
+    w = F9.element([0, 1])
+    assert poly_parse(F9, "w^3") == Poly.constant(F9, w ** 3)
+    assert poly_parse(F9, "w^2") == Poly.constant(F9, -1)  # w^2 + 1 = 0
+
+
+def test_parse_expr_named_atoms():
+    T = Poly.T(F3)
+    names = {"x": RatFunc(T + 1)}
+    assert parse_expr(F3, "x^2 - T", names) == RatFunc(T ** 2 + T + 1)
+    with pytest.raises(ExprError):
+        parse_expr(F3, "x")  # no table, no names
+    with pytest.raises(ExprError):
+        parse_expr(F3, "1/(T - T)")
+    with pytest.raises(ExprError):
+        parse_expr(F3, "T^")
