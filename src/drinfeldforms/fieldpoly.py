@@ -172,7 +172,7 @@ class FieldCtx:
     """
 
     __slots__ = ("p", "r", "q", "modulus", "key", "_wred", "_exp", "_log",
-                 "_ppow")
+                 "_ppow", "_frob")
 
     def __init__(self, p, r):
         if not _is_prime(p) or p == 2:
@@ -192,9 +192,13 @@ class FieldCtx:
         if r > 1:
             self._wred = self._reduction_rows()
             self._exp, self._log = self._build_tables()
+            # column j holds the coordinates of (w^j)^p
+            self._frob = np.array(
+                [(FqElem(self, p ** j) ** p).coords for j in range(r)],
+                dtype=np.int64).T
         else:
             self._wred = np.zeros((0, 1), dtype=np.int64)
-            self._exp = self._log = None
+            self._exp = self._log = self._frob = None
 
     def _reduction_rows(self):
         # row s holds the coordinates of w^(r+s), for s = 0 .. r-2
@@ -210,16 +214,20 @@ class FieldCtx:
             rows[s] = row % p
         return rows
 
+    def _fold(self, acc):
+        """Reduce a stack of at most 2r - 1 coordinate planes, plane s
+        holding the multiple of w^s, to r planes with entries in [0, p)."""
+        r = self.r
+        acc = acc % self.p
+        if acc.shape[0] == r:
+            return acc
+        for s in range(acc.shape[0] - 1, r - 1, -1):
+            acc[:r] += np.multiply.outer(self._wred[s - r], acc[s])
+        return acc[:r] % self.p
+
     def _mul_coords(self, a, b):
         # full product of two coordinate vectors, reduced mod the modulus
-        p, r = self.p, self.r
-        full = np.convolve(a, b)
-        for s in range(full.size - 1, r - 1, -1):
-            c = full[s]
-            if c:
-                full[:r] += c * self._wred[s - r]
-                full[s] = 0
-        return full[:self.r] % p
+        return self._fold(np.convolve(a, b))
 
     def _build_tables(self):
         q = self.q
@@ -495,7 +503,7 @@ class Poly:
         if arr.ndim != 2 or arr.shape[0] != ctx.r:
             raise ValueError("coefficient array has wrong shape")
         n = arr.shape[1]
-        while n > 0 and not arr[:, n - 1].any():
+        while n > 0 and not np.count_nonzero(arr[:, n - 1]):
             n -= 1
         arr = np.ascontiguousarray(arr[:, :n])
         arr.setflags(write=False)
@@ -555,7 +563,7 @@ class Poly:
 
     def is_one(self):
         return (self.arr.shape[1] == 1 and self.arr[0, 0] == 1
-                and not self.arr[1:, 0].any())
+                and np.count_nonzero(self.arr) == 1)
 
     def coeff(self, i):
         """Coefficient of T^i as a field element."""
@@ -636,12 +644,7 @@ class Poly:
                 if not b[j].any():
                     continue
                 acc[i + j] += np.convolve(a[i], b[j])
-        acc %= ctx.p
-        for s in range(2 * r - 2, r - 1, -1):
-            row = acc[s]
-            if row.any():
-                acc[:r] += np.outer(ctx._wred[s - r], row)
-        return Poly(ctx, acc[:r] % ctx.p)
+        return Poly(ctx, ctx._fold(acc))
 
     __rmul__ = __mul__
 
@@ -665,12 +668,15 @@ class Poly:
         for i in range(r):
             if coords[i]:
                 acc[i:i + r] += coords[i] * block
-        acc %= ctx.p
-        for s in range(2 * r - 2, r - 1, -1):
-            row = acc[s]
-            if row.any():
-                acc[:r] += np.outer(ctx._wred[s - r], row)
-        return acc[:r] % ctx.p
+        return ctx._fold(acc)
+
+    def _frobenius(self):
+        """The p-th power: c(T)^p = sum a_i^p T^(ip)."""
+        ctx = self.ctx
+        arr = self.arr if ctx.r == 1 else ctx._frob @ self.arr % ctx.p
+        out = np.zeros((ctx.r, ctx.p * arr.shape[1]), dtype=np.int64)
+        out[:, ::ctx.p] = arr
+        return Poly(ctx, out)
 
     def __pow__(self, n):
         if n < 0:
@@ -851,7 +857,7 @@ class RatFunc:
 
     def is_integral(self):
         """True when the value lies in F_q[T]."""
-        return self.den.is_one()
+        return self.den.degree == 0  # a monic constant is 1
 
     def _coerce(self, other):
         if isinstance(other, RatFunc):

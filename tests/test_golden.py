@@ -1,0 +1,65 @@
+"""Byte-for-byte golden outputs of the README command-line examples.
+
+Each README example runs as written (q = 3), with ``--p 5`` and with
+``--p 3 --r 2``, in text and json, plus ``selftest --profile quick``.
+The stdout of every run is stored in ``tests/golden/<case>.out`` and its
+exit code in ``tests/golden/exit_codes.json``; both were recorded before
+the series product was replaced by the dense kernel, and any change to
+them is a change of the program's output.
+"""
+
+import json
+import os
+
+import pytest
+
+from drinfeldforms.cli import main
+from drinfeldforms.forms import clear_form_cache
+
+GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
+
+EXAMPLES = (
+    ("expand-E_T", ["expand", "E_T", "--prec", "10"]),
+    ("expand-identity", ["expand", "Delta_W*Delta_T - E_T^2"]),
+    ("dim", ["dim", "--k", "4", "--l", "1"]),
+    ("basis", ["basis", "--k", "4", "--l", "1"]),
+    ("congruence", ["congruence", "--k", "4", "--l", "1", "--d", "1",
+                    "--b-max", "2"]),
+    ("corollary", ["corollary", "--k", "12", "--l", "6", "--m", "1"]),
+    ("relations", ["relations", "--k", "2", "--l", "1", "--N", "0"]),
+    ("residue", ["residue", "--k", "4", "--l", "1", "--a", "0"]),
+)
+FIELDS = (("q3", []), ("q5", ["--p", "5"]), ("q9", ["--p", "3", "--r", "2"]))
+FORMATS = ("text", "json")
+
+CASES = [(f"{name}-{field}-{fmt}", flags + ["--format", fmt] + argv)
+         for name, argv in EXAMPLES
+         for field, flags in FIELDS
+         for fmt in FORMATS]
+CASES.append(("selftest-quick", ["selftest", "--profile", "quick"]))
+
+
+def run_case(argv, capsys):
+    clear_form_cache()
+    code = main(argv)
+    return code, capsys.readouterr().out
+
+
+@pytest.fixture(scope="module")
+def exit_codes():
+    with open(os.path.join(GOLDEN, "exit_codes.json")) as fh:
+        return json.load(fh)
+
+
+def test_golden_case_list_is_complete(exit_codes):
+    assert sorted(exit_codes) == sorted(name for name, _ in CASES)
+
+
+@pytest.mark.parametrize("name,argv", CASES, ids=[n for n, _ in CASES])
+def test_golden_output(name, argv, capsys, exit_codes):
+    code, out = run_case(argv, capsys)
+    with open(os.path.join(GOLDEN, f"{name}.out"), encoding="utf-8",
+              newline="") as fh:
+        expected = fh.read()
+    assert code == exit_codes[name]
+    assert out == expected

@@ -2,7 +2,9 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from drinfeldforms import useries
 from drinfeldforms.errors import (
     MixedField,
     PrecisionExceeded,
@@ -14,6 +16,7 @@ from drinfeldforms.useries import USeries
 F3 = make_field(3, 1)
 F5 = make_field(5, 1)
 F9 = make_field(3, 2)
+F_BIG = make_field(1000003, 1)
 
 
 def u(ctx, prec=12):
@@ -64,6 +67,121 @@ def test_mul_difference_of_squares():
     assert prod.coeff(0).is_one()
     assert prod.coeff(1).is_zero()
     assert prod.coeff(2) == RatFunc(-(T * T))
+
+
+# ---------------------------------------------------------------------------
+# the dense product against the term-by-term product it replaced
+
+
+def dict_product(f, g):
+    """Reference product: one coefficient pair at a time over F_q(T)."""
+    prec = min(f._eff_val() + g.prec, g._eff_val() + f.prec)
+    acc = {}
+    for e1, c1 in f.terms():
+        for e2, c2 in g.terms():
+            if e1 + e2 < prec:
+                acc[e1 + e2] = acc.get(e1 + e2, 0) + c1 * c2
+    sc = None
+    if f.support_class is not None and g.support_class is not None:
+        sc = (f.support_class + g.support_class) % (f.ctx.q - 1)
+    return USeries(f.ctx, acc, prec,
+                   val=min(f._eff_val() + g._eff_val(), prec - 1),
+                   support_class=sc)
+
+
+def assert_same_series(got, want):
+    assert got.coeffs == want.coeffs
+    assert got.val == want.val
+    assert got.prec == want.prec
+    assert got.support_class == want.support_class
+    assert all(type(e) is int for e in got.coeffs)
+
+
+@st.composite
+def series(draw, ctx, stride, cls, integral=True):
+    """Random series whose exponents are val + stride*i, with the support
+    class ``cls`` mod q - 1 when given."""
+    val = draw(st.integers(-6, 3))
+    if cls is not None:
+        val += (cls - val) % (ctx.q - 1)
+    n = draw(st.integers(1, 12))
+    deg = draw(st.integers(0, 12))
+    terms = {}
+    for i in range(n):
+        coeffs = draw(st.lists(st.integers(0, ctx.q - 1), min_size=1,
+                               max_size=deg + 1))
+        if i == 0:
+            coeffs[-1] = 1  # keep the leading term nonzero
+        c = RatFunc(Poly.from_coeffs(ctx, coeffs))
+        if not integral and draw(st.booleans()):
+            c = c / RatFunc(Poly.T(ctx))
+        terms[val + stride * i] = c
+    prec = val + stride * draw(st.integers(n, n + 8))
+    return USeries(ctx, terms, prec, val=val, support_class=cls)
+
+
+@st.composite
+def series_pair(draw):
+    ctx = draw(st.sampled_from((F3, F5, F9)))
+    if draw(st.booleans()):
+        stride = ctx.q - 1
+        cls = (draw(st.integers(0, ctx.q - 2)), draw(st.integers(0, ctx.q - 2)))
+    else:
+        stride = draw(st.integers(1, 3))
+        cls = (None, None)
+    integral = draw(st.integers(0, 4)) > 0
+    f = draw(series(ctx, stride, cls[0], integral))
+    if draw(st.integers(0, 4)) == 0:
+        return f, f
+    return f, draw(series(ctx, stride, cls[1], integral))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(series_pair())
+def test_product_matches_dict_oracle(pair):
+    # q in {3, 5, 9}: Laurent windows, support classes (stride q - 1 > 1),
+    # pair counts on both sides of the dense threshold, r = 2 at q = 9
+    f, g = pair
+    assert_same_series(f * g, dict_product(f, g))
+
+
+def test_product_threshold_sides():
+    rng = random.Random(5)
+    one = RatFunc.constant(F9, 1)
+    T = RatFunc(Poly.T(F9))
+    w = RatFunc.constant(F9, F9.element((0, 1)))
+    f = USeries(F9, {-1: one, 0: w * T, 1: T * T}, 12)       # 3 terms
+    for n, dense in ((2, False), (3, True)):
+        g = USeries(F9, {2 * i: w ** (i + 1) + T ** i for i in range(n)}, 12)
+        assert (len(f.coeffs) * len(g.coeffs)
+                >= useries._DENSE_MIN_PAIRS) is dense
+        assert_same_series(f * g, dict_product(f, g))
+    f = rand_series(F5, rng, val=-2, prec=20)
+    assert_same_series(f * f, dict_product(f, f))
+
+
+def test_product_large_prime_takes_exact_route(monkeypatch):
+    # at p = 1000003 the FFT error bound fails and the integer route runs
+    calls = []
+    convolve = useries._convolve_mod
+
+    def counting(a, b, p):
+        calls.append(p)
+        return convolve(a, b, p)
+
+    monkeypatch.setattr(useries, "_convolve_mod", counting)
+    rng = random.Random(7)
+    ctx = F_BIG
+
+    def big(val):
+        terms = {e: RatFunc(Poly.from_coeffs(
+                     ctx, [rng.randrange(ctx.p) for _ in range(24)]))
+                 for e in range(val, val + 30)}
+        return USeries(ctx, terms, val + 30)
+
+    f, g = big(-3), big(2)
+    assert_same_series(f * g, dict_product(f, g))
+    assert calls
 
 
 def test_mul_precision_contract():
@@ -183,6 +301,31 @@ def test_pow_frobenius(ctx):
     g = f ** p
     expected = USeries(ctx, {p: one, 2 * p: one}, g.prec)
     assert g == expected
+
+
+@pytest.mark.parametrize("ctx", (F3, F5, F9), ids=lambda c: f"q{c.q}")
+def test_pow_p_matches_repeated_mul_laurent(ctx):
+    rng = random.Random(41 + ctx.q)
+    for val in (-3, 0, 2):
+        f = rand_series(ctx, rng, val=val, prec=val + 9)
+        lead = RatFunc(Poly.one(ctx), Poly.T(ctx) + 1) if val < 0 else 1
+        f = f + USeries.monomial(ctx, lead, val - 1, f.prec)
+        for n in (ctx.p, ctx.p * 2, ctx.p ** 2):
+            acc = f
+            for _ in range(n - 1):
+                acc = acc * f
+            assert_same_series(f ** n, acc)
+
+
+def test_pow_frobenius_keeps_support_class():
+    one = RatFunc.constant(F5, 1)
+    T = RatFunc(Poly.T(F5))
+    f = USeries(F5, {-3: T, 1: one, 5: T * T}, 13, support_class=1)
+    acc = f
+    for _ in range(4):
+        acc = acc * f
+    assert_same_series(f ** 5, acc)
+    assert (f ** 5).support_class == 1
 
 
 def test_pow_matches_repeated_mul():
