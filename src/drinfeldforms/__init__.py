@@ -78,7 +78,6 @@ from .relations import (
     BMatrix,
     RelationVector,
     compute_b_vector,
-    corollary_iso_check,
     dual_coeff,
     kernel_oracle,
     phi,

@@ -170,13 +170,15 @@ def build_residue_form(ctx, form, k, l, a, prec=None):
     defined when r + 2 + a = p^b for some b (the d = 1 shape)."""
     spec = FormSpec(ctx, k, l)
     form.check_in_space(k, l)
+    if a < 0:
+        raise BadPair(f"a = {a} must be nonnegative")
     pb = spec.r + 2 + a
     b = 0
     n = pb
     while n % ctx.p == 0:
         n //= ctx.p
         b += 1
-    if n != 1 or b < 1 or a < 0:
+    if n != 1 or b < 1:
         raise BadPair(f"r + 2 + a = {pb} is not a positive power of p")
     if prec is None:
         prec = ctx.q + 1

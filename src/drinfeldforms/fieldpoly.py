@@ -18,6 +18,7 @@ import numpy as np
 from .errors import (
     BadDegree,
     DivisionByZero,
+    DivisionNotExact,
     ExprError,
     MixedField,
     NotOddPrime,
@@ -1109,6 +1110,36 @@ def ratfunc_parse(ctx, text):
 # Matrices over F_q(T)
 
 
+def _cleared_row(row):
+    """A row of fractions times the lcm of its denominators, as
+    polynomials."""
+    dens = []
+    for x in row:
+        if not x.den.is_one() and x.den not in dens:
+            dens.append(x.den)
+    if not dens:
+        return [x.num for x in row]
+    lcm = dens[0]
+    for d in dens[1:]:
+        lcm = lcm * (d // lcm.gcd(d))
+    return [x.num if x.is_zero() or x.den == lcm
+            else x.num * lcm if x.den.is_one()
+            else x.num * (lcm // x.den) for x in row]
+
+
+def _bareiss(p, x, f, y, prev):
+    """The exact quotient (p*x - f*y) / prev of one elimination step."""
+    num = p * x if f.is_zero() or y.is_zero() else p * x - f * y
+    if num.is_zero() or prev.is_one():
+        return num
+    quo, rem = divmod(num, prev)
+    if not rem.is_zero():
+        raise DivisionNotExact(
+            "fraction-free elimination left a remainder; "
+            "this is an internal bug")
+    return quo
+
+
 class Matrix:
     """Immutable dense matrix over F_q(T)."""
 
@@ -1132,13 +1163,6 @@ class Matrix:
             return RatFunc(e)
         return RatFunc.constant(ctx, e)
 
-    @classmethod
-    def identity(cls, ctx, n):
-        one = RatFunc.constant(ctx, 1)
-        zero = RatFunc.constant(ctx, 0)
-        return cls(ctx, [[one if i == j else zero for j in range(n)]
-                         for i in range(n)])
-
     def row(self, i):
         return self.entries[i]
 
@@ -1149,30 +1173,54 @@ class Matrix:
 
     def rref(self):
         """Reduced row echelon form with unit pivots; returns the echelon
-        matrix and the tuple of pivot columns."""
-        rows = [list(r) for r in self.entries]
+        matrix and the tuple of pivot columns.
+
+        The elimination is fraction-free.  Each row is first multiplied by
+        the lcm of its denominators, which leaves the reduced form
+        unchanged, so the work runs over F_q[T].  Gauss-Jordan elimination
+        then replaces every row i other than the pivot row by
+        (p*row_i - a_i*row_p) / p_prev, where p is the pivot, a_i the
+        entry of row i in the pivot column and p_prev the previous pivot
+        (1 at the first step); by Sylvester's identity (Bareiss, Math.
+        Comp. 22, 1968) every entry is then a minor of the scaled matrix,
+        so each division is exact.  Finally each pivot row is divided by its pivot,
+        one reduced fraction per entry.  A matrix has exactly one reduced
+        row echelon form, so the result equals elimination over F_q(T).
+        """
+        ctx = self.ctx
+        rows = [_cleared_row(row) for row in self.entries]
         pivots = []
+        prev = Poly.one(ctx)
         pr = 0
         for pc in range(self.cols):
-            hit = None
-            for i in range(pr, len(rows)):
-                if not rows[i][pc].is_zero():
-                    hit = i
-                    break
+            if pr == len(rows):
+                break
+            hit = next((i for i in range(pr, len(rows))
+                        if not rows[i][pc].is_zero()), None)
             if hit is None:
                 continue
             rows[pr], rows[hit] = rows[hit], rows[pr]
-            inv = rows[pr][pc].inverse()
-            rows[pr] = [x * inv for x in rows[pr]]
-            for i in range(len(rows)):
-                if i != pr and not rows[i][pc].is_zero():
-                    f = rows[i][pc]
-                    rows[i] = [x - f * y for x, y in zip(rows[i], rows[pr])]
+            prow = rows[pr]
+            p = prow[pc]
+            for i, row in enumerate(rows):
+                if i != pr:
+                    f = row[pc]
+                    rows[i] = [_bareiss(p, x, f, y, prev)
+                               for x, y in zip(row, prow)]
+            prev = p
             pivots.append(pc)
             pr += 1
-            if pr == len(rows):
-                break
-        return Matrix(self.ctx, rows), tuple(pivots)
+        zero = RatFunc.constant(ctx, 0)
+        one = RatFunc.constant(ctx, 1)
+        out = []
+        for i, row in enumerate(rows):
+            if i < pr:
+                p = row[pivots[i]]
+                out.append([zero if x.is_zero() else one if j == pivots[i]
+                            else RatFunc(x, p) for j, x in enumerate(row)])
+            else:
+                out.append([zero] * self.cols)
+        return Matrix(ctx, out), tuple(pivots)
 
     def rank(self):
         return len(self.rref()[1])

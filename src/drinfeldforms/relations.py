@@ -26,7 +26,6 @@ from .forms import (
     basis,
     basis_series,
     expand,
-    space_dim,
 )
 
 
@@ -125,13 +124,9 @@ def phi(ctx, k, l, N, prec=None):
     return BMatrix(FormSpec(ctx, k, l), N, tuple(labels), tuple(rows))
 
 
-def kernel_oracle(ctx, k, l, N, prec=None):
-    """Independent construction of the relation space by elimination.
-
-    Builds the coefficient matrix a_i*(f_j) of the monomial basis f_j of
-    M_{k,l} for i = 0 .. r+N+1 and returns the canonical echelon basis of
-    the vectors annihilating every column.
-    """
+def _dual_matrix(ctx, k, l, N, prec=None):
+    """The monomial basis f_j of M_{k,l} as series, and its coefficient
+    matrix [a_i*(f_j)] for i = 0 .. r+N+1."""
     spec = FormSpec(ctx, k, l)
     if spec.dim == 0:
         raise EmptySpace(f"M_{{{k},{l}}} is zero over F_{ctx.q}")
@@ -141,7 +136,17 @@ def kernel_oracle(ctx, k, l, N, prec=None):
         prec = rN * (q - 1) + l + q
     series = basis_series(ctx, k, l, prec)
     rows = [[dual_coeff(f, i, l) for f in series] for i in range(rN + 1)]
-    return left_kernel(Matrix(ctx, rows))
+    return series, Matrix(ctx, rows)
+
+
+def kernel_oracle(ctx, k, l, N, prec=None):
+    """Independent construction of the relation space by elimination.
+
+    Builds the coefficient matrix a_i*(f_j) of the monomial basis f_j of
+    M_{k,l} for i = 0 .. r+N+1 and returns the canonical echelon basis of
+    the vectors annihilating every column.
+    """
+    return left_kernel(_dual_matrix(ctx, k, l, N, prec)[1])
 
 
 def spans_equal(ctx, rows_a, rows_b):
@@ -155,49 +160,24 @@ def spans_equal(ctx, rows_a, rows_b):
     return ea == eb
 
 
-def corollary_iso_check(ctx, k, l, N):
-    """Compare the relation-space dimensions for type l and type 0.
-
-    The spaces attached to (k, l) and (k - 2l, 0) are isomorphic; both
-    kernels must have dimension N + 1.
-    """
-    if space_dim(ctx, k, l) == 0:
-        raise EmptySpace(f"M_{{{k},{l}}} is zero over F_{ctx.q}")
-    k0 = k - 2 * l
-    if k0 < 0 or space_dim(ctx, k0, 0) == 0:
-        raise EmptySpace(f"M_{{{k0},0}} is zero over F_{ctx.q}")
-    dim_l = len(kernel_oracle(ctx, k, l, N))
-    dim_0 = len(kernel_oracle(ctx, k0, 0, N))
-    return {
-        "q": ctx.q,
-        "k": k,
-        "l": l,
-        "N": N,
-        "dim_type_l": dim_l,
-        "dim_type_0": dim_0,
-        "expected": N + 1,
-        "equal": dim_l == dim_0 == N + 1,
-    }
-
-
 def relation_report(ctx, k, l, N):
     """Full two-route report: phi rows, kernel basis, rank, span equality
-    and exact annihilation of every basis form of M_{k,l}."""
+    and exact annihilation of every basis form of M_{k,l}.
+
+    The coefficient matrix serves both the kernel and the annihilation
+    check, and the phi rows are reduced once for their rank and the span
+    comparison; the kernel rows are already in canonical echelon form.
+    """
     bm = phi(ctx, k, l, N)
-    kern = kernel_oracle(ctx, k, l, N)
-    phi_rows = [list(row.c) for row in bm.rows]
-    rank = bm.rank()
-    equal = spans_equal(ctx, phi_rows, kern)
-    q = ctx.q
-    rN = bm.spec.r + N + 1
-    prec = rN * (q - 1) + l + q
-    annihilates = True
-    for f in basis_series(ctx, k, l, prec):
-        for row in bm.rows:
-            if not psi_apply(row.c, f, l).is_zero():
-                annihilates = False
+    series, dual = _dual_matrix(ctx, k, l, N)
+    kern = left_kernel(dual)
+    echelon, pivots = bm.matrix().rref()
+    equal = (len(bm.rows) == len(kern)
+             and echelon.entries == tuple(map(tuple, kern)))
+    annihilates = all(psi_apply(row.c, f, l).is_zero()
+                      for f in series for row in bm.rows)
     return {
-        "q": q,
+        "q": ctx.q,
         "k": k,
         "l": l,
         "N": N,
@@ -205,7 +185,7 @@ def relation_report(ctx, k, l, N):
                 for row, label in zip(bm.rows, bm.labels)],
         "kernel": [[str(c) for c in v] for v in kern],
         "report": {
-            "phi_rank": rank,
+            "phi_rank": len(pivots),
             "kernel_dim": len(kern),
             "spans_equal": equal,
             "annihilates": annihilates,

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import jsonschema
 import pytest
@@ -202,6 +205,21 @@ def test_residue_command(capsys):
     assert code == 0
     assert all(line.endswith("residue=0")
                for line in out.strip().splitlines())
+
+
+def test_residue_negative_a_exits_2_without_hanging():
+    # r + 2 + a = 0 here; the bad pair must be rejected, not searched
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run(
+        [sys.executable, "-m", "drinfeldforms", "residue", "--k", "4",
+         "--l", "1", "--a", "-3"],
+        capture_output=True, text=True, timeout=60, env=env)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
 
 
 def test_residue_precision_error_exit_3(capsys):

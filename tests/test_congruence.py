@@ -212,6 +212,13 @@ def test_residue_form_rejects_bad_a():
         build_residue_form(F3, FormExpr.parse(F3, "Delta_W*E_T"), 4, 1, 1)
 
 
+@pytest.mark.parametrize("a", (-1, -3, -4))
+def test_residue_form_rejects_negative_a(a):
+    # a = -3 makes r + 2 + a = 0 for (k, l) = (4, 1) at q = 3
+    with pytest.raises(BadPair):
+        build_residue_form(F3, FormExpr.parse(F3, "Delta_W*E_T"), 4, 1, a)
+
+
 def test_residue_form_congruent_to_product():
     # -G = g1^a E_T^(q-l) f / Delta_T^(p^b) agrees with the g1-free
     # quotient coefficientwise mod T^q - T

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from drinfeldforms import fieldpoly
 from drinfeldforms.errors import (
@@ -348,8 +349,15 @@ def rf(p):
     return RatFunc(p)
 
 
+def identity(ctx, n):
+    one = RatFunc.constant(ctx, 1)
+    zero = RatFunc.constant(ctx, 0)
+    return Matrix(ctx, [[one if i == j else zero for j in range(n)]
+                        for i in range(n)])
+
+
 def test_left_kernel_full_rank():
-    assert left_kernel(Matrix.identity(F3, 2)) == []
+    assert left_kernel(identity(F3, 2)) == []
 
 
 def test_left_kernel_example():
@@ -403,6 +411,84 @@ def test_rref_canonical():
     assert red.entries[0][0].is_one()
     assert red.entries[0][1] == RatFunc(T)
     assert all(e.is_zero() for e in red.entries[1])
+
+
+def rref_oracle(m):
+    """Gauss-Jordan elimination over F_q(T), every entry a reduced
+    fraction: the elimination Matrix.rref replaced, kept as its oracle."""
+    rows = [list(r) for r in m.entries]
+    pivots = []
+    pr = 0
+    for pc in range(m.cols):
+        hit = None
+        for i in range(pr, len(rows)):
+            if not rows[i][pc].is_zero():
+                hit = i
+                break
+        if hit is None:
+            continue
+        rows[pr], rows[hit] = rows[hit], rows[pr]
+        inv = rows[pr][pc].inverse()
+        rows[pr] = [x * inv for x in rows[pr]]
+        for i in range(len(rows)):
+            if i != pr and not rows[i][pc].is_zero():
+                f = rows[i][pc]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[pr])]
+        pivots.append(pc)
+        pr += 1
+        if pr == len(rows):
+            break
+    return Matrix(m.ctx, rows), tuple(pivots)
+
+
+@st.composite
+def poly_st(draw, ctx, maxdeg):
+    # coefficients need not be monic, nor lie in the prime field
+    coords = st.lists(st.integers(0, ctx.p - 1), min_size=ctx.r,
+                      max_size=ctx.r)
+    return Poly.from_coeffs(ctx, draw(st.lists(coords, max_size=maxdeg + 1)))
+
+
+@st.composite
+def ratfunc_st(draw, ctx):
+    num = draw(poly_st(ctx, 3))
+    den = draw(poly_st(ctx, 2))
+    return RatFunc(num) if den.is_zero() else RatFunc(num, den)
+
+
+@st.composite
+def matrix_st(draw):
+    ctx = draw(st.sampled_from(FIELDS))
+    rows = draw(st.integers(0, 5))
+    cols = draw(st.integers(0, 5))
+    ent = [[draw(ratfunc_st(ctx)) for _ in range(cols)] for _ in range(rows)]
+    zero = RatFunc.constant(ctx, 0)
+    if rows >= 3 and draw(st.booleans()):
+        # rank deficient: a row in the span of two others
+        a, b = draw(ratfunc_st(ctx)), draw(ratfunc_st(ctx))
+        i = draw(st.integers(2, rows - 1))
+        ent[i] = [a * x + b * y for x, y in zip(ent[0], ent[1])]
+    if rows and draw(st.booleans()):
+        ent[draw(st.integers(0, rows - 1))] = [zero] * cols
+    if cols and draw(st.booleans()):
+        j = draw(st.integers(0, cols - 1))
+        for row in ent:
+            row[j] = zero
+    return Matrix(ctx, ent)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(matrix_st())
+@example(Matrix(F5, []))
+@example(Matrix(F9, [[], [], []]))
+def test_rref_matches_field_oracle(m):
+    red, piv = m.rref()
+    want_red, want_piv = rref_oracle(m)
+    assert piv == want_piv
+    assert red == want_red
+    kern = left_kernel(m)
+    if kern:
+        assert Matrix(m.ctx, kern).rref()[0].entries == tuple(map(tuple, kern))
 
 
 def test_poly_parse_rejects_non_polynomial():

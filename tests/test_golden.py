@@ -6,6 +6,11 @@ The stdout of every run is stored in ``tests/golden/<case>.out`` and its
 exit code in ``tests/golden/exit_codes.json``; both were recorded before
 the series product was replaced by the dense kernel, and any change to
 them is a change of the program's output.
+
+``tests/golden/relations-sweep-q{3,5,9}.json`` hold the full relation
+sweep (r <= 5 and N <= 3 at q = 3 and 5, r <= 2 and N <= 1 at q = 9) as
+``json.dumps(..., sort_keys=True, indent=1)``; they were recorded before
+Matrix.rref became fraction-free.
 """
 
 import json
@@ -14,7 +19,9 @@ import os
 import pytest
 
 from drinfeldforms.cli import main
+from drinfeldforms.fieldpoly import make_field
 from drinfeldforms.forms import clear_form_cache
+from drinfeldforms.relations import sweep_relations
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 
@@ -37,6 +44,9 @@ CASES = [(f"{name}-{field}-{fmt}", flags + ["--format", fmt] + argv)
          for field, flags in FIELDS
          for fmt in FORMATS]
 CASES.append(("selftest-quick", ["selftest", "--profile", "quick"]))
+
+# (field, p, r, r_max, n_max) of the relation sweeps
+SWEEPS = (("q3", 3, 1, 5, 3), ("q5", 5, 1, 5, 3), ("q9", 3, 2, 2, 1))
 
 
 def run_case(argv, capsys):
@@ -62,4 +72,16 @@ def test_golden_output(name, argv, capsys, exit_codes):
               newline="") as fh:
         expected = fh.read()
     assert code == exit_codes[name]
+    assert out == expected
+
+
+@pytest.mark.parametrize("field,p,r,r_max,n_max", SWEEPS,
+                         ids=[sweep[0] for sweep in SWEEPS])
+def test_golden_relation_sweep(field, p, r, r_max, n_max):
+    clear_form_cache()
+    out = json.dumps(sweep_relations(make_field(p, r), r_max, n_max),
+                     sort_keys=True, indent=1)
+    with open(os.path.join(GOLDEN, f"relations-sweep-{field}.json"),
+              encoding="utf-8", newline="") as fh:
+        expected = fh.read()
     assert out == expected

@@ -1,11 +1,10 @@
 import pytest
 
 from drinfeldforms.errors import BadWeight, EmptySpace
-from drinfeldforms.fieldpoly import Poly, RatFunc, make_field
-from drinfeldforms.forms import FormExpr, basis_series, expand
+from drinfeldforms.fieldpoly import Matrix, Poly, RatFunc, make_field
+from drinfeldforms.forms import FormExpr, basis_series, expand, space_dim
 from drinfeldforms.relations import (
     compute_b_vector,
-    corollary_iso_check,
     dual_coeff,
     kernel_oracle,
     phi,
@@ -17,6 +16,7 @@ from drinfeldforms.relations import (
 
 F3 = make_field(3, 1)
 F5 = make_field(5, 1)
+F9 = make_field(3, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -115,6 +115,16 @@ def test_phi_rank_and_span_equality():
     assert spans_equal(F3, [list(r.c) for r in bm.rows], kern)
 
 
+@pytest.mark.parametrize("ctx", (F3, F5, F9), ids=lambda c: f"q{c.q}")
+def test_kernel_rows_are_their_own_echelon_form(ctx):
+    # relation_report compares the phi echelon form with these rows as is
+    for r, l, N in ((0, 1, 0), (1, 1, 2), (2, 0, 1)):
+        kern = kernel_oracle(ctx, r * (ctx.q - 1) + 2 * l, l, N)
+        red, piv = Matrix(ctx, kern).rref()
+        assert red.entries == tuple(map(tuple, kern))
+        assert len(piv) == len(kern) == N + 1
+
+
 def test_phi_single_row_for_N0():
     bm = phi(F3, 4, 0, 0)
     assert len(bm.rows) == 1
@@ -142,6 +152,31 @@ def test_relations_small_sweep(ctx):
 
 # ---------------------------------------------------------------------------
 # the type-l / type-0 comparison
+
+
+def corollary_iso_check(ctx, k, l, N):
+    """Compare the relation-space dimensions for type l and type 0.
+
+    The spaces attached to (k, l) and (k - 2l, 0) are isomorphic; both
+    kernels must have dimension N + 1.
+    """
+    if space_dim(ctx, k, l) == 0:
+        raise EmptySpace(f"M_{{{k},{l}}} is zero over F_{ctx.q}")
+    k0 = k - 2 * l
+    if k0 < 0 or space_dim(ctx, k0, 0) == 0:
+        raise EmptySpace(f"M_{{{k0},0}} is zero over F_{ctx.q}")
+    dim_l = len(kernel_oracle(ctx, k, l, N))
+    dim_0 = len(kernel_oracle(ctx, k0, 0, N))
+    return {
+        "q": ctx.q,
+        "k": k,
+        "l": l,
+        "N": N,
+        "dim_type_l": dim_l,
+        "dim_type_0": dim_0,
+        "expected": N + 1,
+        "equal": dim_l == dim_0 == N + 1,
+    }
 
 
 def test_iso_check_examples():
