@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 
 from .errors import NotMonic, ZeroInput
-from .fieldpoly import Poly, RatFunc
+from .fieldpoly import FqElem, Poly
 from .useries import USeries
 
 
@@ -89,13 +89,10 @@ def u_sub_a(a, prec):
     if big >= prec:
         return USeries.zero(ctx, prec)
     rho = carlitz_map(a)
-    denom_terms = {}
-    for i, li in enumerate(rho.coeffs):
-        if not li.is_zero():
-            e = big - q ** i
-            if e < prec - big:
-                denom_terms[e] = RatFunc(li)
-    denom = USeries(ctx, denom_terms, prec - big, support_class=0)
+    denom_terms = {big - q ** i: li for i, li in enumerate(rho.coeffs)
+                   if big - q ** i < prec - big}
+    denom = USeries._of(ctx, denom_terms, Poly.one(ctx), prec - big,
+                        support_class=0)
     return denom.inverse().shift(big).truncate(prec)
 
 
@@ -109,10 +106,7 @@ def monics(ctx, deg):
     out = []
     for codes in itertools.product(range(ctx.q), repeat=deg):
         # codes run highest coefficient first, so the constant ticks fastest
-        coeffs = [0] * deg
-        for i, c in enumerate(codes):
-            coeffs[deg - 1 - i] = ctx.element(
-                [(c // ctx.p ** k) % ctx.p for k in range(ctx.r)])
+        coeffs = [FqElem(ctx, c) for c in reversed(codes)]
         out.append(lead + Poly.from_coeffs(ctx, coeffs)
                    if deg else lead)
     return out

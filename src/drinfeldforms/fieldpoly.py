@@ -29,6 +29,19 @@ NEG_INF = float("-inf")  # degree of the zero polynomial
 _TABLE_LIMIT = 1 << 20  # largest extension field with exp/log tables
 
 
+def _power(x, n, one):
+    """x^n for an integer n >= 0 by square-and-multiply, where ``one`` is
+    x^0; no squaring runs after the last bit."""
+    acc = None
+    while n:
+        if n & 1:
+            acc = x if acc is None else acc * x
+        n >>= 1
+        if n:
+            x = x * x
+    return one if acc is None else acc
+
+
 def _is_prime(n):
     if n < 2:
         return False
@@ -147,11 +160,12 @@ def _smallest_irreducible(p, r):
     """Lexicographically smallest monic irreducible of degree r over F_p.
 
     Coefficient vectors are compared lowest degree first, so the constant
-    term is the most significant position.
+    term is the most significant position.  For r > 1 a zero constant term
+    makes the candidate a multiple of T, so the search starts at 1.
     """
     if r == 1:
         return (0, 1)
-    for tail in itertools.product(range(p), repeat=r):
+    for tail in itertools.product(range(1, p), *[range(p)] * (r - 1)):
         f = list(tail) + [1]
         if _fp_is_irreducible(f, p):
             return tuple(f)
@@ -432,14 +446,7 @@ class FqElem:
     def __pow__(self, n):
         if n < 0:
             return self.inverse() ** (-n)
-        acc = FqElem(self.ctx, 1)
-        base = self
-        while n:
-            if n & 1:
-                acc = acc * base
-            base = base * base
-            n >>= 1
-        return acc
+        return _power(self, n, FqElem(self.ctx, 1))
 
     def __eq__(self, other):
         if isinstance(other, int):
@@ -682,14 +689,7 @@ class Poly:
     def __pow__(self, n):
         if n < 0:
             raise ValueError("negative power of a polynomial; use RatFunc")
-        acc = Poly.one(self.ctx)
-        base = self
-        while n:
-            if n & 1:
-                acc = acc * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return acc
+        return _power(self, n, Poly.one(self.ctx))
 
     def __divmod__(self, other):
         other = self._coerce(other)
@@ -927,14 +927,7 @@ class RatFunc:
     def __pow__(self, n):
         if n < 0:
             return self.inverse() ** (-n)
-        acc = RatFunc.constant(self.ctx, 1)
-        base = self
-        while n:
-            if n & 1:
-                acc = acc * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return acc
+        return _power(self, n, RatFunc.constant(self.ctx, 1))
 
     def __eq__(self, other):
         if isinstance(other, (int, FqElem, Poly)):
@@ -952,6 +945,15 @@ class RatFunc:
 
     def __repr__(self):
         return f"RatFunc({self}, q={self.ctx.q})"
+
+
+def _as_ratfunc(ctx, v):
+    """A value from F_q, F_q[T] or F_q(T) as a RatFunc."""
+    if isinstance(v, RatFunc):
+        return v
+    if isinstance(v, Poly):
+        return RatFunc(v)
+    return RatFunc.constant(ctx, v)
 
 
 # ---------------------------------------------------------------------------
@@ -1110,21 +1112,19 @@ def ratfunc_parse(ctx, text):
 # Matrices over F_q(T)
 
 
-def _cleared_row(row):
-    """A row of fractions times the lcm of its denominators, as
-    polynomials."""
+def _cleared_row(ctx, row):
+    """A row of fractions over the lcm of its denominators: the numerators
+    times the lcm, as polynomials, and the lcm."""
     dens = []
     for x in row:
         if not x.den.is_one() and x.den not in dens:
             dens.append(x.den)
-    if not dens:
-        return [x.num for x in row]
-    lcm = dens[0]
+    lcm = dens[0] if dens else Poly.one(ctx)
     for d in dens[1:]:
         lcm = lcm * (d // lcm.gcd(d))
     return [x.num if x.is_zero() or x.den == lcm
             else x.num * lcm if x.den.is_one()
-            else x.num * (lcm // x.den) for x in row]
+            else x.num * (lcm // x.den) for x in row], lcm
 
 
 def _bareiss(p, x, f, y, prev):
@@ -1146,7 +1146,7 @@ class Matrix:
     __slots__ = ("ctx", "rows", "cols", "entries")
 
     def __init__(self, ctx, entries):
-        entries = tuple(tuple(self._entry(ctx, e) for e in row)
+        entries = tuple(tuple(_as_ratfunc(ctx, e) for e in row)
                         for row in entries)
         self.ctx = ctx
         self.rows = len(entries)
@@ -1154,14 +1154,6 @@ class Matrix:
         if any(len(row) != self.cols for row in entries):
             raise ValueError("ragged rows")
         self.entries = entries
-
-    @staticmethod
-    def _entry(ctx, e):
-        if isinstance(e, RatFunc):
-            return e
-        if isinstance(e, Poly):
-            return RatFunc(e)
-        return RatFunc.constant(ctx, e)
 
     def row(self, i):
         return self.entries[i]
@@ -1188,7 +1180,7 @@ class Matrix:
         row echelon form, so the result equals elimination over F_q(T).
         """
         ctx = self.ctx
-        rows = [_cleared_row(row) for row in self.entries]
+        rows = [_cleared_row(ctx, row)[0] for row in self.entries]
         pivots = []
         prev = Poly.one(ctx)
         pr = 0

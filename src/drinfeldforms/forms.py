@@ -31,7 +31,8 @@ from .errors import (
     EmptySpace,
     ExprError,
 )
-from .fieldpoly import FieldCtx, Poly, RatFunc, parse_expr, special_modulus
+from .fieldpoly import (FieldCtx, Poly, RatFunc, _as_ratfunc, _power,
+                        parse_expr, special_modulus)
 from .useries import USeries
 
 GENERATOR_NAMES = ("Delta_W", "Delta_T", "E_T", "g1", "h", "E")
@@ -66,8 +67,8 @@ def build_E(ctx, prec):
     if prec < 2:
         raise ValueError("prec must be at least 2")
     s = monic_series_sum(ctx, lambda a: a, 1, prec)
-    return USeries(ctx, s.coeffs, prec, val=1,
-                   support_class=1 % (ctx.q - 1))
+    return USeries._of(ctx, s.coeffs, s.den, prec, val=1,
+                       support_class=1 % (ctx.q - 1))
 
 
 def build_ET(ctx, prec):
@@ -114,8 +115,8 @@ def build_DeltaT_from_monic_sum(ctx, prec):
         return Poly.zero(ctx) if (a % T).is_zero() else Poly.one(ctx)
 
     s = monic_series_sum(ctx, weight, q - 1, prec)
-    return USeries(ctx, s.coeffs, prec, val=min(s.val, prec - 1),
-                   support_class=0)
+    return USeries._of(ctx, s.coeffs, s.den, prec,
+                       val=min(s.val, prec - 1), support_class=0)
 
 
 def build_DeltaW(ctx, prec):
@@ -350,11 +351,7 @@ class FormExpr:
 
     @classmethod
     def scalar(cls, ctx, c):
-        if isinstance(c, Poly):
-            c = RatFunc(c)
-        elif not isinstance(c, RatFunc):
-            c = RatFunc.constant(ctx, c)
-        return cls(ctx, [(c, ())])
+        return cls(ctx, [(_as_ratfunc(ctx, c), ())])
 
     @classmethod
     def one(cls, ctx):
@@ -394,8 +391,6 @@ class FormExpr:
     __rmul__ = __mul__
 
     def __pow__(self, n):
-        if n == 0:
-            return FormExpr.one(self.ctx)
         if n < 0:
             if len(self.terms) != 1:
                 raise ExprError(
@@ -404,10 +399,7 @@ class FormExpr:
             inv = FormExpr(self.ctx,
                            [(c.inverse(), tuple((g, -e) for g, e in m))])
             return inv ** (-n)
-        acc = self
-        for _ in range(n - 1):
-            acc = acc * self
-        return acc
+        return _power(self, n, FormExpr.one(self.ctx))
 
     def _coerce(self, other):
         if isinstance(other, FormExpr):

@@ -18,14 +18,20 @@ Valuations are recomputed after every operation, so leading-term
 cancellation tightens the window rather than leaving stale bounds.  Series
 over a support class c have all exponents congruent to c mod (q - 1); the
 class tag is propagated through arithmetic and checked on construction.
-A series is integral when every stored coefficient lies in F_q[T].
 
-Products are exact.  A product of two integral series with at least
-``_DENSE_MIN_PAIRS`` stored term pairs is computed as one two-dimensional
+Representation: a series is (1/den) * sum n_e u^e, with ``coeffs``
+mapping each exponent e to its nonzero numerator n_e in F_q[T] and ``den``
+one monic polynomial, the whole in lowest terms: gcd(den, n_e for all e)
+is 1.  Every kernel (products, inverses, powers, Frobenius, substitution)
+therefore runs over F_q[T]; a series is integral exactly when den is 1.
+Coefficients are handed out as reduced ``RatFunc`` values n_e / den.
+
+Products are exact.  A product with at least ``_DENSE_MIN_PAIRS`` stored
+term pairs is computed on the numerators as one two-dimensional
 convolution in u and T (see ``_dense_product``); it uses floating-point
 FFTs only when Percival's a-priori error bound certifies that rounding
 recovers every integer exactly, and an exact integer convolution
-otherwise.  Every other product runs term by term over F_q(T).
+otherwise.  Smaller products run term by term.
 """
 
 from __future__ import annotations
@@ -35,35 +41,43 @@ import math
 import numpy as np
 
 from .errors import MixedField, PrecisionExceeded, ZeroSeries
-from .fieldpoly import FqElem, Poly, RatFunc, _convolve_mod
+from .fieldpoly import (FqElem, Poly, RatFunc, _as_ratfunc, _cleared_row,
+                        _convolve_mod, _power)
 
 # products with fewer stored term pairs stay on the term-by-term loop,
 # which is cheaper than the fixed cost of packing and three small FFTs
 _DENSE_MIN_PAIRS = 8
 
 
-def _as_ratfunc(ctx, v):
-    if isinstance(v, RatFunc):
-        return v
-    if isinstance(v, Poly):
-        return RatFunc(v)
-    return RatFunc.constant(ctx, v)
+def _times(a, b):
+    # product of two polynomials, skipping a factor 1
+    return b if a.is_one() else a if b.is_one() else a * b
 
 
 class USeries:
-    """Truncated Laurent series with exponent window [val, prec)."""
+    """Truncated Laurent series with exponent window [val, prec), stored as
+    polynomial numerators over one monic common denominator."""
 
-    __slots__ = ("ctx", "val", "prec", "coeffs", "support_class", "integral")
+    __slots__ = ("ctx", "val", "prec", "coeffs", "den", "support_class")
 
     def __init__(self, ctx, coeffs, prec, val=None, support_class=None):
+        values = [_as_ratfunc(ctx, c) for c in coeffs.values()]
+        nums, den = _cleared_row(ctx, values)
+        self._setup(ctx, dict(zip(coeffs, nums)), den, prec, val,
+                    support_class)
+
+    @classmethod
+    def _of(cls, ctx, nums, den, prec, val=None, support_class=None):
+        """The series (1/den) * sum nums[e] u^e from polynomial numerators;
+        the internal constructor."""
+        self = object.__new__(cls)
+        self._setup(ctx, nums, den, prec, val, support_class)
+        return self
+
+    def _setup(self, ctx, nums, den, prec, val, support_class):
         if not isinstance(prec, int):
             raise TypeError("prec must be an integer")
-        items = []
-        for e, c in coeffs.items():
-            c = _as_ratfunc(ctx, c)
-            if not c.is_zero():
-                items.append((e, c))
-        items.sort()
+        items = sorted((e, n) for e, n in nums.items() if not n.is_zero())
         if items:
             lo = items[0][0]
             hi = items[-1][0]
@@ -76,6 +90,7 @@ class USeries:
             if val is None:
                 val = prec - 1
             val = min(val, prec - 1)
+            den = Poly.one(ctx)
         if prec <= val:
             raise ValueError(f"empty window: val {val}, prec {prec}")
         if support_class is not None:
@@ -86,22 +101,42 @@ class USeries:
                     raise ValueError(
                         f"exponent {e} escapes support class "
                         f"{support_class} mod {m}")
+        if not den.is_one():
+            # lowest terms with a monic denominator: a product, sum or
+            # truncation can leave a factor common to den and every numerator
+            g = den
+            for _, n in items:
+                if g.degree < 1:
+                    break
+                g = g.gcd(n)
+            if g.degree > 0:
+                den = den // g
+                items = [(e, n // g) for e, n in items]
+            if not den.lead.is_one():
+                inv = den.lead.inverse()
+                den = den._scale(inv)
+                items = [(e, n._scale(inv)) for e, n in items]
         self.ctx = ctx
         self.val = val
         self.prec = prec
         self.coeffs = dict(items)
+        self.den = den
         self.support_class = support_class
-        self.integral = all(c.is_integral() for _, c in items)
+
+    @property
+    def integral(self):
+        """True when every coefficient lies in F_q[T]."""
+        return bool(self.den.is_one())
 
     # -- constructors ---------------------------------------------------
     @classmethod
     def zero(cls, ctx, prec):
-        return cls(ctx, {}, prec)
+        return cls._of(ctx, {}, Poly.one(ctx), prec)
 
     @classmethod
     def one(cls, ctx, prec, support_class=None):
-        return cls(ctx, {0: RatFunc.constant(ctx, 1)}, prec,
-                   support_class=support_class)
+        one = Poly.one(ctx)
+        return cls._of(ctx, {0: one}, one, prec, support_class=support_class)
 
     @classmethod
     def monomial(cls, ctx, coeff, exp, prec, support_class=None):
@@ -121,14 +156,14 @@ class USeries:
 
     def terms(self):
         """Stored (exponent, coefficient) pairs, exponents ascending."""
-        return list(self.coeffs.items())
+        return [(e, RatFunc(n, self.den)) for e, n in self.coeffs.items()]
 
     def coeff(self, e):
         """Coefficient at u^e; raises beyond the precision window."""
         if e >= self.prec:
             raise PrecisionExceeded(
                 f"coefficient of u^{e} requested, precision is {self.prec}")
-        return self.coeffs.get(e) or RatFunc.constant(self.ctx, 0)
+        return RatFunc(self.coeffs.get(e) or Poly.zero(self.ctx), self.den)
 
     def truncate(self, prec):
         """Forget coefficients at exponents >= prec."""
@@ -137,10 +172,10 @@ class USeries:
                 f"cannot extend precision {self.prec} to {prec}")
         if prec == self.prec:
             return self
-        kept = {e: c for e, c in self.coeffs.items() if e < prec}
-        return USeries(self.ctx, kept, prec,
-                       val=min(self.val, prec - 1),
-                       support_class=self.support_class)
+        kept = {e: n for e, n in self.coeffs.items() if e < prec}
+        return USeries._of(self.ctx, kept, self.den, prec,
+                           val=min(self.val, prec - 1),
+                           support_class=self.support_class)
 
     def shift(self, k):
         """Multiply by u^k (exact exponent shift)."""
@@ -149,8 +184,10 @@ class USeries:
         sc = self.support_class
         if sc is not None:
             sc = (sc + k) % (self.ctx.q - 1)
-        return USeries(self.ctx, {e + k: c for e, c in self.coeffs.items()},
-                       self.prec + k, val=self.val + k, support_class=sc)
+        return USeries._of(self.ctx,
+                           {e + k: n for e, n in self.coeffs.items()},
+                           self.den, self.prec + k, val=self.val + k,
+                           support_class=sc)
 
     # -- ring operations -------------------------------------------------
     def _merged_class(self, other):
@@ -168,19 +205,22 @@ class USeries:
             return NotImplemented
         self._check(other)
         prec = min(self.prec, other.prec)
-        out = {e: c for e, c in self.coeffs.items() if e < prec}
-        for e, c in other.coeffs.items():
+        a, b, den = self.coeffs, other.coeffs, self.den
+        if den != other.den:
+            # over the product of the denominators; the constructor
+            # cancels what they share
+            a = {e: _times(n, other.den) for e, n in a.items()}
+            b = {e: _times(n, self.den) for e, n in b.items()}
+            den = _times(den, other.den)
+        out = {e: n for e, n in a.items() if e < prec}
+        for e, n in b.items():
             if e >= prec:
                 continue
             prev = out.get(e)
-            s = c if prev is None else prev + c
-            if s.is_zero():
-                out.pop(e, None)
-            else:
-                out[e] = s
-        return USeries(self.ctx, out, prec,
-                       val=min(self.val, other.val, prec - 1),
-                       support_class=self._merged_class(other))
+            out[e] = n if prev is None else prev + n
+        return USeries._of(self.ctx, out, den, prec,
+                           val=min(self.val, other.val, prec - 1),
+                           support_class=self._merged_class(other))
 
     def __sub__(self, other):
         if not isinstance(other, USeries):
@@ -188,61 +228,58 @@ class USeries:
         return self + (-other)
 
     def __neg__(self):
-        return USeries(self.ctx, {e: -c for e, c in self.coeffs.items()},
-                       self.prec, val=self.val,
-                       support_class=self.support_class)
+        return USeries._of(self.ctx, {e: -n for e, n in self.coeffs.items()},
+                           self.den, self.prec, val=self.val,
+                           support_class=self.support_class)
 
     def scale(self, s):
         """Multiply every coefficient by a scalar from F_q(T)."""
         s = _as_ratfunc(self.ctx, s)
         if s.is_zero():
             return USeries.zero(self.ctx, self.prec)
-        return USeries(self.ctx, {e: c * s for e, c in self.coeffs.items()},
-                       self.prec, val=self.val,
-                       support_class=self.support_class)
+        nums = self.coeffs
+        if not s.num.is_one():
+            nums = {e: n * s.num for e, n in nums.items()}
+        return USeries._of(self.ctx, nums, _times(self.den, s.den),
+                           self.prec, val=self.val,
+                           support_class=self.support_class)
 
     def __mul__(self, other):
         if isinstance(other, USeries):
             self._check(other)
             prec = min(self._eff_val() + other.prec,
                        other._eff_val() + self.prec)
-            fast = self.integral and other.integral
-            if fast and (len(self.coeffs) * len(other.coeffs)
-                         >= _DENSE_MIN_PAIRS):
+            if len(self.coeffs) * len(other.coeffs) >= _DENSE_MIN_PAIRS:
                 out = _dense_product(self, other, prec)
             else:
-                out = self._term_product(other, prec, fast)
+                out = self._term_product(other, prec)
             sc = None
             if (self.support_class is not None
                     and other.support_class is not None):
                 sc = ((self.support_class + other.support_class)
                       % (self.ctx.q - 1))
-            return USeries(self.ctx, out, prec,
-                           val=min(self._eff_val() + other._eff_val(),
-                                   prec - 1),
-                           support_class=sc)
+            return USeries._of(self.ctx, out, _times(self.den, other.den),
+                               prec,
+                               val=min(self._eff_val() + other._eff_val(),
+                                       prec - 1),
+                               support_class=sc)
         if isinstance(other, (RatFunc, Poly, FqElem, int)):
             return self.scale(other)
         return NotImplemented
 
-    def _term_product(self, other, prec, fast):
-        # coefficients of self*other below prec, one pair of terms at a time
-        rhs = other.terms()
+    def _term_product(self, other, prec):
+        # numerators of self*other below prec, one pair of terms at a time
+        rhs = list(other.coeffs.items())
         acc = {}
-        for e1, c1 in self.coeffs.items():
-            n1 = c1.num if fast else c1
-            for e2, c2 in rhs:
+        for e1, n1 in self.coeffs.items():
+            for e2, n2 in rhs:
                 e = e1 + e2
                 if e >= prec:
                     break
-                v = n1 * (c2.num if fast else c2)
+                v = n1 * n2
                 prev = acc.get(e)
                 acc[e] = v if prev is None else prev + v
-        if not fast:
-            return acc
-        one = Poly.one(self.ctx)
-        return {e: RatFunc._reduced(v, one)
-                for e, v in acc.items() if not v.is_zero()}
+        return acc
 
     def __rmul__(self, other):
         if isinstance(other, (RatFunc, Poly, FqElem, int)):
@@ -250,33 +287,33 @@ class USeries:
         return NotImplemented
 
     def inverse(self):
-        """Multiplicative inverse; the relative precision is preserved."""
+        """Multiplicative inverse; the relative precision is preserved.
+
+        With a_m the numerator m steps above the valuation and c = a_0, the
+        fraction-free recurrence B_0 = 1, B_j = -sum_m a_m c^(m-1) B_(j-m)
+        gives den * B_j / c^(j+1) at j steps above -val.
+        """
         if not self.coeffs:
             raise ZeroSeries("cannot invert a series with no nonzero "
                              "coefficient below its precision")
+        ctx = self.ctx
         v = self.val
         rel = self.prec - v
-        a = {e - v: c for e, c in self.coeffs.items()}
-        a0 = a.pop(0)
-        # unit leading coefficients keep the recurrence in F_q[T]
-        fast = (self.integral and a0.num.degree == 0
-                and all(c.is_integral() for c in a.values()))
-        if fast:
-            lead = a0.num.lead
-            a0i_el = lead.inverse()
-            a_items = sorted((k, c.num) for k, c in a.items())
-            b = {0: Poly.constant(self.ctx, a0i_el)}
-        else:
-            a0i = a0.inverse()
-            a_items = sorted(a.items())
-            b = {0: a0i}
-        if a_items:
-            step = 0
-            for k, _ in a_items:
-                step = math.gcd(step, k)
+        one = Poly.one(ctx)
+        (_, c), *a = [(e - v, n) for e, n in self.coeffs.items()]
+        if not c.is_one():
+            # c^0 .. c^rel, each built once; a_m becomes a_m c^(m-1)
+            cpow = [one]
+            for _ in range(rel):
+                cpow.append(cpow[-1] * c)
+            a = [(k, ak * cpow[k - 1]) for k, ak in a]
+        a = [(k, -ak) for k, ak in a]  # so each B_j below is a plain sum
+        b = {0: one}
+        if a:
+            step = math.gcd(*[k for k, _ in a])
             for n in range(step, rel, step):
                 s = None
-                for k, ak in a_items:
+                for k, ak in a:
                     if k > n:
                         break
                     bk = b.get(n - k)
@@ -284,23 +321,21 @@ class USeries:
                         continue
                     t = ak * bk
                     s = t if s is None else s + t
-                if s is None or s.is_zero():
-                    continue
-                if fast:
-                    b[n] = -(s._scale(a0i_el))
-                else:
-                    b[n] = -(a0i * s)
-        if fast:
-            one = Poly.one(self.ctx)
-            out = {e: RatFunc._reduced(c, one) for e, c in b.items()
-                   if not c.is_zero()}
-        else:
-            out = {e: c for e, c in b.items() if not c.is_zero()}
+                if s is not None and not s.is_zero():
+                    b[n] = s
+        # over the common denominator c^(top+1) the numerator of
+        # coefficient n is den * B_n * c^(top-n); the constructor takes
+        # it to lowest terms and makes the denominator monic
+        den = one
+        if not c.is_one():
+            top = max(b)
+            b = {n: bn * cpow[top - n] for n, bn in b.items()}
+            den = cpow[top + 1]
+        b = {n - v: _times(self.den, bn) for n, bn in b.items()}
         sc = None
         if self.support_class is not None:
-            sc = (-self.support_class) % (self.ctx.q - 1)
-        return USeries(self.ctx, {e - v: c for e, c in out.items()},
-                       rel - v, val=-v, support_class=sc)
+            sc = (-self.support_class) % (ctx.q - 1)
+        return USeries._of(ctx, b, den, rel - v, val=-v, support_class=sc)
 
     def __pow__(self, n):
         """Integer power: p-th powers by Frobenius, the rest by binary
@@ -313,15 +348,7 @@ class USeries:
             return USeries.one(self.ctx, rel, support_class=sc)
         if n % self.ctx.p == 0:
             return self._frobenius() ** (n // self.ctx.p)
-        acc = None
-        base = self
-        while True:
-            if n & 1:
-                acc = base if acc is None else acc * base
-            n >>= 1
-            if not n:
-                return acc
-            base = base * base
+        return _power(self, n, None)  # n >= 1, so x^0 is never needed
 
     def _frobenius(self):
         # (sum c_e u^e)^p = sum c_e^p u^(pe) in characteristic p, kept on
@@ -329,12 +356,13 @@ class USeries:
         p = self.ctx.p
         v = self._eff_val()
         prec = p * v + self.prec - v
-        out = {p * e: RatFunc._reduced(c.num._frobenius(), c.den._frobenius())
-               for e, c in self.coeffs.items() if p * e < prec}
+        out = {p * e: n._frobenius()
+               for e, n in self.coeffs.items() if p * e < prec}
         sc = self.support_class
         if sc is not None:
             sc = sc * p % (self.ctx.q - 1)
-        return USeries(self.ctx, out, prec, support_class=sc)
+        return USeries._of(self.ctx, out, self.den._frobenius(), prec,
+                           support_class=sc)
 
     # -- substitution u -> u(Tz) ------------------------------------------
     def substitute_Tz(self, out_prec=None):
@@ -355,6 +383,9 @@ class USeries:
                 f"output precision {full}")
         if not self.coeffs:
             return USeries.zero(ctx, out_prec)
+        # the numerators are substituted over F_q[T]; the final
+        # construction puts them back over den
+        one = Poly.one(ctx)
         T = Poly.T(ctx)
         parts = []
         pos = []
@@ -362,22 +393,22 @@ class USeries:
             if e < 0:
                 # exact: c * (1 + T u^(q-1))^|e| * u^(qe); the power is a
                 # polynomial of degree |e|(q-1) in u, so its window holds it
-                pw = USeries(ctx, {0: 1, q - 1: T}, -e * (q - 1) + 1) ** -e
-                terms = {q * e + j: cf * c for j, cf in pw.terms()
+                pw = USeries._of(ctx, {0: one, q - 1: T}, one,
+                                 -e * (q - 1) + 1) ** -e
+                terms = {q * e + j: cf * c for j, cf in pw.coeffs.items()
                          if q * e + j < out_prec}
-                parts.append(USeries(ctx, terms, out_prec))
+                parts.append(USeries._of(ctx, terms, one, out_prec))
             elif e == 0:
-                parts.append(USeries(ctx, {0: c}, out_prec))
+                parts.append(USeries._of(ctx, {0: c}, one, out_prec))
             elif q * e < out_prec:
                 pos.append((e, c))
         if pos:
             e0 = pos[0][0]
             rel0 = out_prec - q * e0
-            base_terms = {0: RatFunc.constant(ctx, 1)}
+            base_terms = {0: one}
             if q - 1 < rel0:
-                base_terms[q - 1] = RatFunc(T)
-            base = USeries(ctx, base_terms, rel0)
-            binv = base.inverse()
+                base_terms[q - 1] = T
+            binv = USeries._of(ctx, base_terms, one, rel0).inverse()
             cur_e = e0
             cur = binv ** e0
             deltas = {}
@@ -394,11 +425,9 @@ class USeries:
         acc = USeries.zero(ctx, out_prec)
         for part in parts:
             acc = acc + part
-        if self.support_class is not None:
-            # q = 1 mod (q-1), so classes are preserved
-            acc = USeries(ctx, acc.coeffs, acc.prec, val=acc.val,
-                          support_class=self.support_class)
-        return acc
+        # q = 1 mod (q-1), so classes are preserved
+        return USeries._of(ctx, acc.coeffs, self.den, out_prec, val=acc.val,
+                           support_class=self.support_class)
 
     # -- comparison, rendering, serialization ----------------------------
     def agrees_with(self, other, upto=None):
@@ -407,21 +436,15 @@ class USeries:
         bound = min(self.prec, other.prec)
         if upto is not None:
             bound = min(bound, upto)
-        exps = set(self.coeffs) | set(other.coeffs)
-        for e in exps:
-            if e >= bound:
-                continue
-            if self.coeff(e) != other.coeff(e):
-                return False
-        return True
+        return (self - other).truncate(bound).is_zero()
 
     def __eq__(self, other):
         return (isinstance(other, USeries) and self.ctx.key == other.ctx.key
                 and self.prec == other.prec and self.val == other.val
-                and self.coeffs == other.coeffs)
+                and self.den == other.den and self.coeffs == other.coeffs)
 
     def __hash__(self):
-        return hash((self.ctx.key, self.val, self.prec,
+        return hash((self.ctx.key, self.val, self.prec, self.den,
                      tuple(self.coeffs.items())))
 
     def json_dict(self):
@@ -429,14 +452,13 @@ class USeries:
         return {
             "val": self.val,
             "prec": self.prec,
-            "terms": [{"exp": e, "coeff": str(c)}
-                      for e, c in self.coeffs.items()],
+            "terms": [{"exp": e, "coeff": str(c)} for e, c in self.terms()],
         }
 
     def __str__(self):
         if not self.coeffs:
             return f"O(u^{self.prec})"
-        body = " + ".join(f"({c})*u^{e}" for e, c in self.coeffs.items())
+        body = " + ".join(f"({c})*u^{e}" for e, c in self.terms())
         return f"{body} + O(u^{self.prec})"
 
     def __repr__(self):
@@ -453,8 +475,8 @@ def _fft_error(n):
 
 
 def _pack(s, rows, stride):
-    """Coordinate x u-row x T-degree block of an integral series, row i
-    holding the coefficient of u^(val + stride*i) for i < rows, with
+    """Coordinate x u-row x T-degree block of the numerators of a series,
+    row i holding the numerator of u^(val + stride*i) for i < rows, with
     residues centred on zero."""
     ctx = s.ctx
     terms = []
@@ -462,7 +484,7 @@ def _pack(s, rows, stride):
         i = (e - s.val) // stride
         if i >= rows:
             break
-        terms.append((i, c.num.arr))
+        terms.append((i, c.arr))
     block = np.zeros((ctx.r, terms[-1][0] + 1,
                       max(arr.shape[1] for _, arr in terms)), dtype=np.int64)
     for i, arr in terms:
@@ -472,9 +494,9 @@ def _pack(s, rows, stride):
 
 
 def _dense_product(a, b, prec):
-    """Coefficients of a*b below prec for nonzero integral a and b with at
-    least three stored terms between them, as one two-dimensional
-    convolution in u and T.
+    """Numerators of a*b below prec for nonzero a and b with at least
+    three stored terms between them, as one two-dimensional convolution
+    in u and T.
 
     The u-axis is compressed by the gcd of all exponent differences, which
     is a multiple of q - 1 for series in a support class.  A real FFT is
@@ -525,8 +547,6 @@ def _dense_product(a, b, prec):
     out = ctx._fold(acc)
     nz = out.any(axis=0)
     lengths = (width - np.argmax(nz[:, ::-1], axis=1)).tolist()
-    one = Poly.one(ctx)
     base = a.val + b.val
-    return {base + stride * k: RatFunc._reduced(
-                Poly(ctx, out[:, k, :lengths[k]].copy()), one)
+    return {base + stride * k: Poly(ctx, out[:, k, :lengths[k]].copy())
             for k in np.flatnonzero(nz.any(axis=1)).tolist()}

@@ -222,6 +222,22 @@ def test_residue_negative_a_exits_2_without_hanging():
     assert proc.stdout == ""
 
 
+def test_huge_power_of_a_form_is_immediate():
+    # E_T^N takes about log2(N) expression products, not N - 1
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run(
+        [sys.executable, "-m", "drinfeldforms", "expand", "E_T^100000000",
+         "--prec", "10"],
+        capture_output=True, text=True, timeout=60, env=env)
+    assert proc.returncode == 0
+    assert proc.stdout == ("q=3 expr=E_T^100000000 val=9 prec=10\n"
+                           "0 + O(u^10)\n")
+
+
 def test_residue_precision_error_exit_3(capsys):
     code, _, err = run(capsys, ["--prec", "1", "residue", "--k", "4",
                                 "--l", "1", "--a", "0"])

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -88,6 +89,36 @@ def test_make_field_too_large_fails_before_modulus_search(monkeypatch):
     monkeypatch.setattr(fieldpoly, "_smallest_irreducible", no_search)
     with pytest.raises(ValueError):
         make_field(3, 14)
+
+
+def brute_smallest_irreducible_deg3(p):
+    # oracle: a cubic is irreducible exactly when it has no root in F_p;
+    # scan in lex order with the constant term most significant
+    for c0 in range(p):
+        for c1 in range(p):
+            for c2 in range(p):
+                if all((x ** 3 + c2 * x * x + c1 * x + c0) % p
+                       for x in range(p)):
+                    return (c0, c1, c2, 1)
+    raise AssertionError
+
+
+@pytest.mark.parametrize("p", (3, 5))
+def test_smallest_irreducible_cubic_matches_brute_force(p):
+    assert (fieldpoly._smallest_irreducible(p, 3)
+            == brute_smallest_irreducible_deg3(p))
+
+
+@pytest.mark.parametrize("r,modulus", (
+    (10, (1, 0, 0, 0, 0, 0, 0, 0, 2, 0, 1)),
+    (12, (1, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 1, 1)),
+))
+def test_smallest_irreducible_skips_multiples_of_T(r, modulus):
+    # a zero constant term makes the candidate a multiple of T, so the
+    # search must not run Rabin's test on those 3^(r-1) candidates
+    start = time.perf_counter()
+    assert fieldpoly._smallest_irreducible(3, r) == modulus
+    assert time.perf_counter() - start < 2
 
 
 def test_make_field_deterministic():
@@ -208,6 +239,21 @@ def test_poly_pow_matches_repeated_mul():
         for n in range(6):
             assert f ** n == acc
             acc = acc * f
+
+
+def test_one_power_loop_for_every_ring():
+    # FqElem, Poly and RatFunc powers all go through fieldpoly._power
+    rng = random.Random(307)
+    for ctx in FIELDS:
+        e = rand_elem(ctx, rng)
+        x = RatFunc(rand_poly(ctx, rng, maxdeg=3), Poly.T(ctx) + 1)
+        acc_e, acc_x = ctx.one(), RatFunc.constant(ctx, 1)
+        for n in range(9):
+            assert e ** n == acc_e
+            assert x ** n == acc_x
+            acc_e, acc_x = acc_e * e, acc_x * x
+        assert x ** -3 == (x * x * x).inverse()
+    assert fieldpoly._power(Poly.T(F3), 0, "one") == "one"
 
 
 def test_poly_mixed_field_rejected():

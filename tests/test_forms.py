@@ -255,6 +255,14 @@ def test_expr_parse_scalars():
         FormExpr.parse(F3, "(E_T + h)^-1")
 
 
+def test_expr_power_matches_repeated_products():
+    base = FormExpr.parse(F3, "E_T + T*Delta_W*E_T^-1")
+    acc = FormExpr.one(F3)
+    for n in range(7):
+        assert (base ** n).terms == acc.terms
+        acc = acc * base
+
+
 def test_expr_weight_type():
     q = F9.q
     e = FormExpr.parse(F9, "E_T^6")

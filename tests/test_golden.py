@@ -11,6 +11,12 @@ them is a change of the program's output.
 sweep (r <= 5 and N <= 3 at q = 3 and 5, r <= 2 and N <= 1 at q = 9) as
 ``json.dumps(..., sort_keys=True, indent=1)``; they were recorded before
 Matrix.rref became fraction-free.
+
+The ``expand-nonintegral-*`` cases expand forms whose u-expansions have
+coefficients outside F_q[T] (user scalars with denominators, inverses,
+the non-modular E), in the same three fields and two formats, and
+``selftest-full`` holds ``selftest --profile full``; these were recorded
+before series stored numerators over one common denominator.
 """
 
 import json
@@ -43,7 +49,16 @@ CASES = [(f"{name}-{field}-{fmt}", flags + ["--format", fmt] + argv)
          for name, argv in EXAMPLES
          for field, flags in FIELDS
          for fmt in FORMATS]
+NONINTEGRAL = ("1/T*E_T", "E_T/(T+1) - Delta_T/T^2", "(T*h)^-1",
+               "(T^2+1)^-1*Delta_T^-2*E_T", "h^-2", "g1^-1/(T-1)",
+               "E/(T^3+T)")
+CASES += [(f"expand-nonintegral-{i}-{field}-{fmt}",
+           flags + ["--format", fmt, "expand", expr])
+          for i, expr in enumerate(NONINTEGRAL)
+          for field, flags in FIELDS
+          for fmt in FORMATS]
 CASES.append(("selftest-quick", ["selftest", "--profile", "quick"]))
+CASES.append(("selftest-full", ["selftest", "--profile", "full"]))
 
 # (field, p, r, r_max, n_max) of the relation sweeps
 SWEEPS = (("q3", 3, 1, 5, 3), ("q5", 5, 1, 5, 3), ("q9", 3, 2, 2, 1))

@@ -10,7 +10,7 @@ from drinfeldforms.errors import (
     PrecisionExceeded,
     ZeroSeries,
 )
-from drinfeldforms.fieldpoly import Poly, RatFunc, make_field
+from drinfeldforms.fieldpoly import FqElem, Poly, RatFunc, make_field
 from drinfeldforms.useries import USeries
 
 F3 = make_field(3, 1)
@@ -90,6 +90,7 @@ def dict_product(f, g):
 
 
 def assert_same_series(got, want):
+    assert got.den == want.den
     assert got.coeffs == want.coeffs
     assert got.val == want.val
     assert got.prec == want.prec
@@ -266,6 +267,137 @@ def test_inverse_zero_series_raises():
         USeries.zero(F3, 5).inverse()
     with pytest.raises(ZeroSeries):
         USeries.zero(F3, 5) ** -2
+
+
+def inverse_oracle(f):
+    """Reference inverse: the coefficient recurrence over F_q(T),
+    b_0 = 1/a_0 and b_n = -(1/a_0) sum_k a_k b_(n-k)."""
+    v = f.val
+    rel = f.prec - v
+    a = {e - v: c for e, c in f.terms()}
+    a0i = a.pop(0).inverse()
+    b = {0: a0i}
+    for n in range(1, rel):
+        s = RatFunc.constant(f.ctx, 0)
+        for k, ak in a.items():
+            if k <= n and n - k in b:
+                s = s + ak * b[n - k]
+        if not s.is_zero():
+            b[n] = -(a0i * s)
+    sc = None
+    if f.support_class is not None:
+        sc = (-f.support_class) % (f.ctx.q - 1)
+    return USeries(f.ctx, {n - v: c for n, c in b.items()}, rel - v,
+                   val=-v, support_class=sc)
+
+
+def assert_lowest_terms(s):
+    """The representation contract: nonzero numerators over a monic
+    denominator, with no factor common to all of them."""
+    assert s.den.is_monic()
+    g = s.den
+    for n in s.coeffs.values():
+        assert not n.is_zero()
+        g = g.gcd(n)
+    assert g.is_one()
+    assert s.integral == s.den.is_one()
+
+
+@st.composite
+def scalar(draw, ctx, kind):
+    """A value in F_q(T): 'one', a 'constant' other than 1, a non-constant
+    'poly', or a 'fraction' with a non-constant denominator."""
+    if kind == "one":
+        return RatFunc.constant(ctx, 1)
+    if kind == "constant":
+        code = draw(st.integers(2, ctx.q - 1))
+        return RatFunc.constant(ctx, FqElem(ctx, code))
+    codes = draw(st.lists(st.integers(0, ctx.q - 1), min_size=2, max_size=4))
+    codes[-1] = draw(st.integers(1, ctx.q - 1))
+    num = Poly.from_coeffs(ctx, [FqElem(ctx, c) for c in codes])
+    if kind == "poly":
+        return RatFunc(num)
+    den = draw(st.sampled_from(((0, 1), (1, 1), (1, 0, 1), (2, 1, 1))))
+    return RatFunc(num, Poly.from_coeffs(ctx, list(den)))
+
+
+@st.composite
+def invertible_series(draw):
+    """Non-integral Laurent series over F_3, F_5 or F_9, optionally in a
+    support class, whose lowest coefficient is 1, another constant, a
+    polynomial or a fraction."""
+    ctx = draw(st.sampled_from((F3, F5, F9)))
+    cls = draw(st.one_of(st.none(), st.integers(0, ctx.q - 2)))
+    stride = ctx.q - 1 if cls is not None else draw(st.integers(1, 3))
+    val = draw(st.integers(-5, 3))
+    if cls is not None:
+        val += (cls - val) % (ctx.q - 1)
+    n = draw(st.integers(1, 6))
+    kinds = st.sampled_from(("one", "constant", "poly", "fraction"))
+    terms = {val: draw(scalar(ctx, draw(kinds)))}
+    for i in range(1, n):
+        if draw(st.booleans()):
+            terms[val + stride * i] = draw(scalar(ctx, draw(kinds)))
+    prec = val + stride * draw(st.integers(n, n + 4))
+    return USeries(ctx, terms, prec, val=val, support_class=cls)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(invertible_series())
+def test_inverse_matches_field_oracle(f):
+    assert_lowest_terms(f)
+    want = inverse_oracle(f)
+    got = f.inverse()
+    assert_same_series(got, want)
+    assert_lowest_terms(got)
+    got = f ** -2
+    assert_same_series(got, dict_product(want, want))
+    assert_lowest_terms(got)
+
+
+def test_inverse_with_constant_lead_other_than_one():
+    T = RatFunc(Poly.T(F5))
+    f = USeries(F5, {-1: 3, 1: T, 3: T * T + 1}, 9)
+    assert_same_series(f.inverse(), inverse_oracle(f))
+    assert f.inverse().integral
+
+
+def test_truncation_restores_lowest_terms():
+    # (T u + u^2) / T loses its only term with a denominator
+    T = Poly.T(F3)
+    f = USeries(F3, {1: 1, 2: RatFunc(Poly.one(F3), T)}, 4)
+    assert f.den == T
+    assert f.coeffs == {1: T, 2: Poly.one(F3)}
+    g = f.truncate(2)
+    assert g == u(F3, prec=2)
+    assert g.integral
+    assert_lowest_terms(g)
+
+
+def test_sum_and_product_cancel_denominators():
+    T = Poly.T(F3)
+    f = USeries(F3, {0: RatFunc(Poly.one(F3), T), 2: 1}, 6)
+    g = USeries(F3, {0: RatFunc(-Poly.one(F3), T), 4: RatFunc(T + 1, T)}, 6)
+    s = f + g
+    assert s.coeffs == {2: T, 4: T + 1} and s.den == T
+    assert_lowest_terms(s)
+    p = f.scale(T)
+    assert p.integral and p.coeffs == {0: Poly.one(F3), 2: T}
+    assert_lowest_terms(p)
+
+
+def test_coefficients_of_integral_series_run_no_gcd(monkeypatch):
+    f = rand_series(F5, random.Random(3), val=0, prec=12)
+    assert f.integral and not f.is_zero()
+
+    def no_gcd(self, other):
+        raise AssertionError("gcd on an integral series")
+
+    monkeypatch.setattr(Poly, "gcd", no_gcd)
+    for e in range(f.prec):
+        f.coeff(e)
+    f.terms()
+    f.json_dict()
 
 
 def test_integral_inverse_of_unit_lead_is_integral():
