@@ -27,6 +27,7 @@ from .errors import (
 NEG_INF = float("-inf")  # degree of the zero polynomial
 
 _TABLE_LIMIT = 1 << 20  # largest extension field with exp/log tables
+_PRIME_LIMIT = 1 << 31  # residue products must be exact in int64
 
 
 def _power(x, n, one):
@@ -71,104 +72,28 @@ def _prime_factors(n):
     return out
 
 
-# ---------------------------------------------------------------------------
-# Polynomials over the prime field, used only for the modulus search.
-# Represented as plain lists of residues, lowest degree first.
-
-def _fp_trim(a):
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _fp_sub(a, b, p):
-    n = max(len(a), len(b))
-    out = [0] * n
-    for i in range(n):
-        ai = a[i] if i < len(a) else 0
-        bi = b[i] if i < len(b) else 0
-        out[i] = (ai - bi) % p
-    return _fp_trim(out)
-
-
-def _fp_mul(a, b, p):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _fp_trim(out)
-
-
-def _fp_mod(a, m, p):
-    a = _fp_trim(list(a))
-    dm = len(m) - 1
-    inv = pow(m[-1], p - 2, p)
-    while len(a) - 1 >= dm and a:
-        c = a[-1]
-        if c:
-            f = (c * inv) % p
-            k = len(a) - 1 - dm
-            for j in range(dm + 1):
-                a[k + j] = (a[k + j] - f * m[j]) % p
-        a.pop()
-        _fp_trim(a)
-    return a
-
-
-def _fp_gcd(a, b, p):
-    a = _fp_trim(list(a))
-    b = _fp_trim(list(b))
-    while b:
-        a, b = b, _fp_mod(a, b, p)
-    if a:
-        inv = pow(a[-1], p - 2, p)
-        a = [(c * inv) % p for c in a]
-    return a
-
-
-def _fp_pow_x(e, m, p):
-    """x^e reduced mod m over the prime field."""
-    result = [1]
-    base = _fp_mod([0, 1], m, p)
-    while e:
-        if e & 1:
-            result = _fp_mod(_fp_mul(result, base, p), m, p)
-        base = _fp_mod(_fp_mul(base, base, p), m, p)
-        e >>= 1
-    return result
-
-
-def _fp_is_irreducible(f, p):
-    """Rabin's criterion for a monic polynomial over F_p."""
-    n = len(f) - 1
-    if n <= 0:
-        return False
-    x = [0, 1]
-    if _fp_sub(_fp_pow_x(p ** n, f, p), _fp_mod(x, f, p), p):
-        return False
-    for t in _prime_factors(n):
-        g = _fp_sub(_fp_pow_x(p ** (n // t), f, p), _fp_mod(x, f, p), p)
-        if len(_fp_gcd(g, f, p)) != 1:
-            return False
-    return True
-
-
 def _smallest_irreducible(p, r):
     """Lexicographically smallest monic irreducible of degree r over F_p.
 
     Coefficient vectors are compared lowest degree first, so the constant
     term is the most significant position.  For r > 1 a zero constant term
-    makes the candidate a multiple of T, so the search starts at 1.
+    makes the candidate a multiple of T, so the search starts at 1.  Each
+    candidate f runs Rabin's test: T^(p^r) = T mod f, and T^(p^(r/t)) - T
+    is prime to f for every prime t dividing r.
     """
     if r == 1:
         return (0, 1)
+    fp = FieldCtx(p, 1)
+    T = Poly.T(fp)
+    factors = _prime_factors(r)
     for tail in itertools.product(range(1, p), *[range(p)] * (r - 1)):
-        f = list(tail) + [1]
-        if _fp_is_irreducible(f, p):
-            return tuple(f)
+        f = Poly.from_coeffs(fp, tail + (1,))
+        frob = [T]  # frob[i] = T^(p^i) mod f
+        for _ in range(r):
+            frob.append(frob[-1]._frobenius() % f)
+        if frob[r] == T and all((frob[r // t] - T).gcd(f).degree == 0
+                                for t in factors):
+            return tail + (1,)
     raise AssertionError("no irreducible polynomial found")  # unreachable
 
 
@@ -190,6 +115,11 @@ class FieldCtx:
                  "_ppow", "_frob")
 
     def __init__(self, p, r):
+        if p >= _PRIME_LIMIT:
+            # int64 products of two residues are exact only below 2^62
+            raise ValueError(
+                f"p = {p} is too large: the characteristic must be below "
+                f"2^31")
         if not _is_prime(p) or p == 2:
             raise NotOddPrime(f"p = {p} is not an odd prime")
         if r < 1:

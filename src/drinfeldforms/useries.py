@@ -14,6 +14,10 @@ Precision transfer follows the window semantics exactly:
 * inverse        -> the relative precision prec - val is preserved
 * substitute_Tz  -> q * prec
 
+The substitution u -> u(Tz) = u^q / (1 + T u^(q-1)) is one map on
+coefficients, u^e -> sum_k C(-e, k) T^k u^(qe + (q-1)k), with the binomial
+reduced mod p by Lucas' theorem; no series product is involved.
+
 Valuations are recomputed after every operation, so leading-term
 cancellation tightens the window rather than leaving stale bounds.  Series
 over a support class c have all exponents congruent to c mod (q - 1); the
@@ -368,12 +372,13 @@ class USeries:
     def substitute_Tz(self, out_prec=None):
         """Pull back the expansion along z -> Tz.
 
-        Substitutes u -> u(Tz) = u^q / (1 + T u^(q-1)); the output window is
-        q * prec, or a caller-supplied smaller one.  Negative exponents use
-        the exact identity u(Tz)^(-1) = (1 + T u^(q-1)) u^(-q).
+        Since u(Tz) = u^q / (1 + T u^(q-1)), each term maps by
+        u^e -> sum_k C(-e, k) T^k u^(qe + (q-1)k), a finite sum when
+        e <= 0.  The output window is q * prec, or a caller-supplied
+        smaller one.
         """
         ctx = self.ctx
-        q = ctx.q
+        p, q = ctx.p, ctx.q
         full = q * self.prec
         if out_prec is None:
             out_prec = full
@@ -383,50 +388,30 @@ class USeries:
                 f"output precision {full}")
         if not self.coeffs:
             return USeries.zero(ctx, out_prec)
-        # the numerators are substituted over F_q[T]; the final
-        # construction puts them back over den
-        one = Poly.one(ctx)
-        T = Poly.T(ctx)
-        parts = []
-        pos = []
-        for e, c in self.coeffs.items():
-            if e < 0:
-                # exact: c * (1 + T u^(q-1))^|e| * u^(qe); the power is a
-                # polynomial of degree |e|(q-1) in u, so its window holds it
-                pw = USeries._of(ctx, {0: one, q - 1: T}, one,
-                                 -e * (q - 1) + 1) ** -e
-                terms = {q * e + j: cf * c for j, cf in pw.coeffs.items()
-                         if q * e + j < out_prec}
-                parts.append(USeries._of(ctx, terms, one, out_prec))
-            elif e == 0:
-                parts.append(USeries._of(ctx, {0: c}, one, out_prec))
-            elif q * e < out_prec:
-                pos.append((e, c))
-        if pos:
-            e0 = pos[0][0]
-            rel0 = out_prec - q * e0
-            base_terms = {0: one}
-            if q - 1 < rel0:
-                base_terms[q - 1] = T
-            binv = USeries._of(ctx, base_terms, one, rel0).inverse()
-            cur_e = e0
-            cur = binv ** e0
-            deltas = {}
-            for e, c in pos:
-                if e != cur_e:
-                    d = e - cur_e
-                    dp = deltas.get(d)
-                    if dp is None:
-                        dp = binv ** d
-                        deltas[d] = dp
-                    cur = (cur * dp).truncate(out_prec - q * e)
-                    cur_e = e
-                parts.append(cur.scale(c).shift(q * e).truncate(out_prec))
-        acc = USeries.zero(ctx, out_prec)
-        for part in parts:
-            acc = acc + part
-        # q = 1 mod (q-1), so classes are preserved
-        return USeries._of(ctx, acc.coeffs, self.den, out_prec, val=acc.val,
+        rows = {}
+        for e, n in self.coeffs.items():
+            stop = -(-(out_prec - q * e) // (q - 1))
+            if e <= 0:
+                stop = min(stop, 1 - e)
+            for k in range(stop):
+                c = _binom_mod(-e, k, p)
+                if c:
+                    rows.setdefault(q * e + (q - 1) * k, []).append(
+                        (k, c, n.arr))
+        # each output numerator is summed in one int64 block, reduced mod p
+        # after every term so that the products c * n stay below p^2
+        nums = {}
+        for m, parts in rows.items():
+            block = np.zeros(
+                (ctx.r, max(k + a.shape[1] for k, _, a in parts)),
+                dtype=np.int64)
+            for k, c, a in parts:
+                window = block[:, k:k + a.shape[1]]
+                window += c * a
+                window %= p
+            nums[m] = Poly(ctx, block)
+        # qe + (q-1)k = e mod (q-1), so classes are preserved
+        return USeries._of(ctx, nums, self.den, out_prec,
                            support_class=self.support_class)
 
     # -- comparison, rendering, serialization ----------------------------
@@ -463,6 +448,21 @@ class USeries:
 
     def __repr__(self):
         return f"USeries({self}, q={self.ctx.q})"
+
+
+def _binom_mod(n, k, p):
+    """C(n, k) mod p for an integer n of either sign and k >= 0, by Lucas'
+    theorem on the p-adic digits of n, which floor division produces; this
+    holds for n < 0 because C(n, k) mod p depends only on n mod p^L once
+    p^L > k."""
+    out = 1
+    while k:
+        n, a = divmod(n, p)
+        k, b = divmod(k, p)
+        if b > a:
+            return 0
+        out = out * math.comb(a, b) % p
+    return out
 
 
 def _fft_error(n):

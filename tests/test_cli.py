@@ -81,6 +81,19 @@ def run(capsys, argv):
     return code, out.out, out.err
 
 
+def run_module(*argv):
+    """``python -m drinfeldforms argv`` in a fresh interpreter, killed
+    after 60 s so that a hang fails the test."""
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return subprocess.run([sys.executable, "-m", "drinfeldforms", *argv],
+                          capture_output=True, text=True, timeout=60,
+                          env=env)
+
+
 # ---------------------------------------------------------------------------
 # expand
 
@@ -209,30 +222,23 @@ def test_residue_command(capsys):
 
 def test_residue_negative_a_exits_2_without_hanging():
     # r + 2 + a = 0 here; the bad pair must be rejected, not searched
-    src = os.path.join(os.path.dirname(os.path.dirname(
-        os.path.abspath(__file__))), "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    proc = subprocess.run(
-        [sys.executable, "-m", "drinfeldforms", "residue", "--k", "4",
-         "--l", "1", "--a", "-3"],
-        capture_output=True, text=True, timeout=60, env=env)
+    proc = run_module("residue", "--k", "4", "--l", "1", "--a", "-3")
     assert proc.returncode == 2
     assert proc.stdout == ""
 
 
+def test_too_large_prime_exits_2_without_hanging():
+    # p >= 2^31 is refused before any trial division runs
+    proc = run_module("dim", "--k", "2", "--l", "0",
+                      "--p", "1000000000000000003")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "2^31" in proc.stderr
+
+
 def test_huge_power_of_a_form_is_immediate():
     # E_T^N takes about log2(N) expression products, not N - 1
-    src = os.path.join(os.path.dirname(os.path.dirname(
-        os.path.abspath(__file__))), "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    proc = subprocess.run(
-        [sys.executable, "-m", "drinfeldforms", "expand", "E_T^100000000",
-         "--prec", "10"],
-        capture_output=True, text=True, timeout=60, env=env)
+    proc = run_module("expand", "E_T^100000000", "--prec", "10")
     assert proc.returncode == 0
     assert proc.stdout == ("q=3 expr=E_T^100000000 val=9 prec=10\n"
                            "0 + O(u^10)\n")

@@ -91,6 +91,26 @@ def test_make_field_too_large_fails_before_modulus_search(monkeypatch):
         make_field(3, 14)
 
 
+def test_make_field_refuses_large_p_before_primality_test(monkeypatch):
+    # int64 residue products are exact only for p < 2^31; the refusal must
+    # also come before trial division, which would take minutes
+    def no_test(n):
+        raise AssertionError("primality test ran before the size check")
+
+    monkeypatch.setattr(fieldpoly, "_is_prime", no_test)
+    with pytest.raises(ValueError):
+        make_field(4294967311, 1)
+
+
+def test_largest_supported_prime_is_exact():
+    p = (1 << 31) - 1  # a Mersenne prime
+    ctx = make_field(p, 1)
+    m1 = ctx.element(p - 1)
+    T = Poly.T(ctx)
+    assert T._scale(m1)._scale(m1) == T
+    assert (T * m1 + 1) * (T * m1 + 1) == T * T + T * 2 * m1 + 1
+
+
 def brute_smallest_irreducible_deg3(p):
     # oracle: a cubic is irreducible exactly when it has no root in F_p;
     # scan in lex order with the constant term most significant

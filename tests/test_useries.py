@@ -536,18 +536,156 @@ def test_substitute_negative_exponent_exact():
         assert e in (-q, -1)
 
 
-@pytest.mark.parametrize("ctx", (F3, F5), ids=lambda c: f"q{c.q}")
-def test_substitute_is_ring_homomorphism(ctx):
-    rng = random.Random(37 + ctx.q)
-    for _ in range(12):
-        f = rand_series(ctx, rng, val=0, prec=6)
-        g = rand_series(ctx, rng, val=0, prec=6)
-        lhs = (f * g).substitute_Tz()
-        rhs = f.substitute_Tz() * g.substitute_Tz()
-        assert lhs.agrees_with(rhs)
-        lhs = (f + g).substitute_Tz()
-        rhs = f.substitute_Tz() + g.substitute_Tz()
-        assert lhs.agrees_with(rhs)
+@st.composite
+def laurent_series(draw, ctx, count=1):
+    """``count`` series over ``ctx`` with Laurent windows, all integral or
+    all not, on one exponent stride; each in a support class when the
+    stride is q - 1."""
+    # a support class spaces the exponents q - 1 apart, too far for a
+    # window over F_1000003
+    if ctx.q < 100 and draw(st.booleans()):
+        stride = ctx.q - 1
+        classes = [draw(st.integers(0, ctx.q - 2)) for _ in range(count)]
+    else:
+        stride = draw(st.integers(1, 3))
+        classes = [None] * count
+    integral = draw(st.booleans())
+    return [draw(series(ctx, stride, cls, integral)) for cls in classes]
+
+
+def window(s, prec):
+    """The canonical series of s cut down to the window below prec."""
+    return USeries._of(s.ctx, {e: n for e, n in s.coeffs.items() if e < prec},
+                       s.den, prec, support_class=s.support_class)
+
+
+@pytest.mark.parametrize("ctx", (F3, F5, F9), ids=lambda c: f"q{c.q}")
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_substitute_is_ring_homomorphism(ctx, data):
+    f, g = data.draw(laurent_series(ctx, 2))
+    lhs = (f * g).substitute_Tz()
+    rhs = f.substitute_Tz() * g.substitute_Tz()
+    assert lhs.agrees_with(rhs)
+    lhs = (f + g).substitute_Tz()
+    rhs = f.substitute_Tz() + g.substitute_Tz()
+    assert lhs.agrees_with(rhs)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_substitute_window_contract(data):
+    # f knows half the relative window of g; its substitution must equal
+    # g's cut down to any window f supports, and stop at q * f.prec
+    ctx = data.draw(st.sampled_from((F3, F5, F9)))
+    g, = data.draw(laurent_series(ctx))
+    q = ctx.q
+    f = g.truncate(g.val + -(-(g.prec - g.val) // 2))
+    wide = g.substitute_Tz()
+    assert_same_series(f.substitute_Tz(), window(wide, q * f.prec))
+    out_prec = data.draw(st.integers(q * f.val - q, q * f.prec))
+    assert_same_series(f.substitute_Tz(out_prec), window(wide, out_prec))
+    with pytest.raises(PrecisionExceeded):
+        f.substitute_Tz().coeff(q * f.prec)
+
+
+# The term-by-term routine that the closed-form coefficient map replaced:
+# series inverses, powers and shifts, one part per stored term.
+def substitute_oracle(self, out_prec=None):
+    """Pull back the expansion along z -> Tz.
+
+    Substitutes u -> u(Tz) = u^q / (1 + T u^(q-1)); the output window is
+    q * prec, or a caller-supplied smaller one.  Negative exponents use
+    the exact identity u(Tz)^(-1) = (1 + T u^(q-1)) u^(-q).
+    """
+    ctx = self.ctx
+    q = ctx.q
+    full = q * self.prec
+    if out_prec is None:
+        out_prec = full
+    elif out_prec > full:
+        raise PrecisionExceeded(
+            f"substitution from precision {self.prec} only supports "
+            f"output precision {full}")
+    if not self.coeffs:
+        return USeries.zero(ctx, out_prec)
+    # the numerators are substituted over F_q[T]; the final
+    # construction puts them back over den
+    one = Poly.one(ctx)
+    T = Poly.T(ctx)
+    parts = []
+    pos = []
+    for e, c in self.coeffs.items():
+        if e < 0:
+            # exact: c * (1 + T u^(q-1))^|e| * u^(qe); the power is a
+            # polynomial of degree |e|(q-1) in u, so its window holds it
+            pw = USeries._of(ctx, {0: one, q - 1: T}, one,
+                             -e * (q - 1) + 1) ** -e
+            terms = {q * e + j: cf * c for j, cf in pw.coeffs.items()
+                     if q * e + j < out_prec}
+            parts.append(USeries._of(ctx, terms, one, out_prec))
+        elif e == 0:
+            parts.append(USeries._of(ctx, {0: c}, one, out_prec))
+        elif q * e < out_prec:
+            pos.append((e, c))
+    if pos:
+        e0 = pos[0][0]
+        rel0 = out_prec - q * e0
+        base_terms = {0: one}
+        if q - 1 < rel0:
+            base_terms[q - 1] = T
+        binv = USeries._of(ctx, base_terms, one, rel0).inverse()
+        cur_e = e0
+        cur = binv ** e0
+        deltas = {}
+        for e, c in pos:
+            if e != cur_e:
+                d = e - cur_e
+                dp = deltas.get(d)
+                if dp is None:
+                    dp = binv ** d
+                    deltas[d] = dp
+                cur = (cur * dp).truncate(out_prec - q * e)
+                cur_e = e
+            parts.append(cur.scale(c).shift(q * e).truncate(out_prec))
+    acc = USeries.zero(ctx, out_prec)
+    for part in parts:
+        acc = acc + part
+    # q = 1 mod (q-1), so classes are preserved
+    return USeries._of(ctx, acc.coeffs, self.den, out_prec, val=acc.val,
+                       support_class=self.support_class)
+
+
+@st.composite
+def substitution_case(draw):
+    """A series over F_3, F_5, F_9 or F_1000003 with an output precision
+    that is the full window (None or q * prec), below it, or at or below
+    q * val."""
+    if draw(st.integers(0, 3)) == 0:
+        f = draw(invertible_series())
+    else:
+        ctx = draw(st.sampled_from((F3, F5, F9, F_BIG)))
+        f, = draw(laurent_series(ctx))
+    q = f.ctx.q
+    full = q * f.prec
+    low = q * f.val
+    out_prec = draw(st.one_of(st.none(), st.just(full),
+                              st.integers(low + 1, full - 1),
+                              st.integers(low - q, low)))
+    return f, out_prec
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(substitution_case())
+def test_substitute_matches_term_oracle(case):
+    f, out_prec = case
+    if out_prec is not None and out_prec <= 0 and 0 in f.coeffs:
+        # the oracle builds the image of u^0 in the window below out_prec,
+        # which cannot hold it; cut its full window down instead
+        want = window(substitute_oracle(f), out_prec)
+    else:
+        want = substitute_oracle(f, out_prec)
+    assert_same_series(f.substitute_Tz(out_prec), want)
 
 
 def test_substitute_output_precision_capped():
