@@ -6,6 +6,7 @@ u-coefficients."""
 from .carlitz import (
     CarlitzMap,
     carlitz_map,
+    monic_power_sum,
     monic_series_sum,
     monics,
     u_sub_a,
@@ -48,7 +49,6 @@ from .fieldpoly import (
     Matrix,
     Poly,
     RatFunc,
-    lcm_monics,
     left_kernel,
     make_field,
     poly_parse,

@@ -229,63 +229,38 @@ def build_parser():
     _add_globals(parser, suppress=False)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("expand", help="expand a form expression")
-    p.add_argument("expr")
-    _add_globals(p, suppress=True)
-    p.set_defaults(func=cmd_expand)
+    def command(name, func, summary, weight=True):
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(func=func)
+        if weight:
+            p.add_argument("--k", type=int, required=True)
+            p.add_argument("--l", type=int, required=True)
+        return p
 
-    p = sub.add_parser("dim", help="dimension of M_{k,l}")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--l", type=int, required=True)
-    _add_globals(p, suppress=True)
-    p.set_defaults(func=cmd_dim)
-
-    p = sub.add_parser("basis", help="monomial basis of M_{k,l}")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--l", type=int, required=True)
-    _add_globals(p, suppress=True)
-    p.set_defaults(func=cmd_basis)
-
-    p = sub.add_parser("congruence",
-                       help="check the product-coefficient congruences")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--l", type=int, required=True)
+    command("expand", cmd_expand, "expand a form expression",
+            weight=False).add_argument("expr")
+    command("dim", cmd_dim, "dimension of M_{k,l}")
+    command("basis", cmd_basis, "monomial basis of M_{k,l}")
+    p = command("congruence", cmd_congruence,
+                "check the product-coefficient congruences")
     p.add_argument("--d", type=int, default=1)
     p.add_argument("--b-max", dest="b_max", type=int, default=2)
-    _add_globals(p, suppress=True)
-    p.set_defaults(func=cmd_congruence)
-
-    p = sub.add_parser("corollary",
-                       help="check the coefficient-of-f specialization")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--l", type=int, required=True)
+    p = command("corollary", cmd_corollary,
+                "check the coefficient-of-f specialization")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--alpha", type=int, default=None,
                    help="p-adic valuation bound (derived from l if absent)")
-    _add_globals(p, suppress=True)
-    p.set_defaults(func=cmd_corollary)
-
-    p = sub.add_parser("relations",
-                       help="relation space by both routes")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--l", type=int, required=True)
+    p = command("relations", cmd_relations, "relation space by both routes")
     p.add_argument("--N", type=int, required=True)
-    _add_globals(p, suppress=True)
-    p.set_defaults(func=cmd_relations)
-
-    p = sub.add_parser("residue",
-                       help="residues of the weight-2 Laurent forms")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--l", type=int, required=True)
+    p = command("residue", cmd_residue,
+                "residues of the weight-2 Laurent forms")
     p.add_argument("--a", type=int, default=None)
-    _add_globals(p, suppress=True)
-    p.set_defaults(func=cmd_residue)
-
-    p = sub.add_parser("selftest", help="run the acceptance sweep")
+    p = command("selftest", cmd_selftest, "run the acceptance sweep",
+                weight=False)
     p.add_argument("--profile", choices=("quick", "full"), default="quick")
-    _add_globals(p, suppress=True)
-    p.set_defaults(func=cmd_selftest)
-
+    # the global flags come last on every subcommand
+    for p in sub.choices.values():
+        _add_globals(p, suppress=True)
     return parser
 
 

@@ -719,17 +719,6 @@ def special_modulus(ctx, d):
     return Poly.from_pairs(ctx, [(ctx.q ** d, 1), (1, ctx.p - 1)])
 
 
-def lcm_monics(ctx, d):
-    """Least common multiple of all monic polynomials of degree d,
-    the product of T^(q^i) - T for i = 1 .. d."""
-    if d < 0:
-        raise BadDegree(f"d = {d} must be nonnegative")
-    out = Poly.one(ctx)
-    for i in range(1, d + 1):
-        out = out * special_modulus(ctx, i)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Rational functions
 

@@ -8,7 +8,9 @@ Generators and their u-expansions:
 * E_T      weight 2, type 1: E(z) - T E(Tz), modular of level T.
 * g1       weight q-1, type 0: normalized Eisenstein series, built from the
            period-free identity g1 = 1 - (T^q - T) * sum over monic a of
-           u(az)^(q-1).
+           u(az)^(q-1), summed per degree on the Carlitz lattice (Goss,
+           Basic Structures of Function Field Arithmetic, ch. 1; Gekeler,
+           Invent. Math. 93, 1988).
 * Delta_T  weight q-1, type 0: (g1(Tz) - g1(z)) / (T^q - T); vanishes only
            at the cusp at infinity.
 * Delta_W  weight q-1, type 0: g1 + T^q Delta_T; vanishes only at the
@@ -24,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .carlitz import monic_series_sum
+from .carlitz import monic_power_sum, monic_series_sum
 from .errors import (
     BadWeight,
     DivisionNotExact,
@@ -80,14 +82,15 @@ def build_ET(ctx, prec):
 
 
 def build_g1(ctx, prec):
-    """Weight q-1 Eisenstein series normalized to constant term 1."""
+    """Weight q-1 Eisenstein series normalized to constant term 1, as
+    1 - (T^q - T) * sum over d of t_d^(q-1): t_d sums u(az) over monic a
+    of degree d, from the Carlitz lattice by ``monic_power_sum``."""
     if prec < ctx.q:
         raise ValueError("prec must be at least q")
-    q = ctx.q
-    s = monic_series_sum(ctx, lambda a: Poly.one(ctx), q - 1, prec)
-    bracket = special_modulus(ctx, 1)
-    out = USeries.one(ctx, prec, support_class=0) - s * bracket
-    return out
+    s = monic_power_sum(ctx, ctx.q - 1, prec)
+    # negating T^q - T once, not every coefficient of the sum
+    return (USeries.one(ctx, prec, support_class=0)
+            + s * -special_modulus(ctx, 1))
 
 
 def build_DeltaT(ctx, prec):

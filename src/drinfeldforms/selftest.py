@@ -188,40 +188,22 @@ def criterion_determinism(ctx):
 
 def _criteria_for(profile):
     """(criterion id, label, q, runner) in a fixed, reported order."""
-    full = profile == "full"
-    qs = (3, 5, 9) if full else (3,)
-    plan = []
-    for q in qs:
-        plan.append((1, "displayed-expansions", q,
-                     criterion_displayed_expansions))
-    for q in qs:
-        if q in (3, 5):
-            plan.append((2, "identity-suite", q,
-                         lambda c: criterion_identity_suite(c, 150)))
-        elif q == 9:
-            plan.append((2, "identity-suite", q,
-                         lambda c: criterion_identity_suite(c, 100)))
-    for q in qs:
-        if q in (3, 5):
-            plan.append((3, "route-equivalence", q,
-                         criterion_route_equivalence))
-    for q in qs:
-        if q in (3, 5):
-            plan.append((4, "congruence-sweep", q, criterion_theorem_sweep))
-    for q in qs:
-        if q in (3, 9):
-            plan.append((5, "worked-examples", q, criterion_worked_examples))
-    for q in qs:
-        if q in (3, 5):
-            plan.append((6, "residue-sweep", q, criterion_residue_sweep))
-    for q in qs:
-        if q in (3, 5):
-            plan.append((7, "relations-sweep", q, criterion_relations_sweep))
-    for q in qs:
-        if q in (3, 5):
-            plan.append((8, "dual-triangularity", q, criterion_triangularity))
-    plan.append((9, "determinism", 3, criterion_determinism))
-    return plan
+    qs = (3, 5, 9) if profile == "full" else (3,)
+    table = (
+        (1, "displayed-expansions", (3, 5, 9),
+         criterion_displayed_expansions),
+        (2, "identity-suite", (3, 5, 9),
+         lambda c: criterion_identity_suite(c, 100 if c.q == 9 else 150)),
+        (3, "route-equivalence", (3, 5), criterion_route_equivalence),
+        (4, "congruence-sweep", (3, 5), criterion_theorem_sweep),
+        (5, "worked-examples", (3, 9), criterion_worked_examples),
+        (6, "residue-sweep", (3, 5), criterion_residue_sweep),
+        (7, "relations-sweep", (3, 5), criterion_relations_sweep),
+        (8, "dual-triangularity", (3, 5), criterion_triangularity),
+        (9, "determinism", (3,), criterion_determinism),
+    )
+    return [(num, label, q, fn) for num, label, where, fn in table
+            for q in qs if q in where]
 
 
 def _context(q):

@@ -1,9 +1,13 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from drinfeldforms.carlitz import (
+    CarlitzMap,
     carlitz_map,
+    linear_map,
+    monic_power_sum,
     monic_series_sum,
     monics,
     u_sub_a,
@@ -22,6 +26,22 @@ def rand_poly(ctx, rng, maxdeg):
     coeffs = [ctx.element([(c // ctx.p ** k) % ctx.p
                            for k in range(ctx.r)]) for c in cs]
     return Poly.from_coeffs(ctx, coeffs)
+
+
+def compose(m, n):
+    """rho_a o rho_b for the maps m = rho_a and n = rho_b, which equals
+    rho_(ab)."""
+    ctx = m.a.ctx
+    q = ctx.q
+    out = [Poly.zero(ctx) for _ in range(len(m.coeffs) + len(n.coeffs) - 1)]
+    for i, li in enumerate(m.coeffs):
+        if li.is_zero():
+            continue
+        for j, mj in enumerate(n.coeffs):
+            if mj.is_zero():
+                continue
+            out[i + j] = out[i + j] + li * (mj ** (q ** i))
+    return CarlitzMap(m.a * n.a, out)
 
 
 # ---------------------------------------------------------------------------
@@ -74,7 +94,7 @@ def test_carlitz_multiplicativity_and_additivity(ctx):
         b = rand_poly(ctx, rng, 4)
         if a.is_zero() or b.is_zero():
             continue
-        assert carlitz_map(a * b) == carlitz_map(a).compose(carlitz_map(b))
+        assert carlitz_map(a * b) == compose(carlitz_map(a), carlitz_map(b))
         if not (a + b).is_zero():
             ma, mb = carlitz_map(a), carlitz_map(b)
             ms = carlitz_map(a + b)
@@ -84,6 +104,20 @@ def test_carlitz_multiplicativity_and_additivity(ctx):
                 cb = mb.coeffs[i] if i < len(mb.coeffs) else Poly.zero(ctx)
                 cs = ms.coeffs[i] if i < len(ms.coeffs) else Poly.zero(ctx)
                 assert cs == ca + cb
+
+
+@pytest.mark.parametrize("ctx,top", ((F3, 3), (F5, 2), (F9, 1)),
+                         ids=("q3", "q5", "q9"))
+def test_linear_map_matches_horner(ctx, top):
+    # rho_a = sum_j a_j rho_(T^j) against the Horner composition, for every
+    # monic a up to the degree bound and for c * a with a constant c != 0, 1
+    T = Poly.T(ctx)
+    basis = [carlitz_map(T ** j).coeffs for j in range(top + 1)]
+    c = ctx.element([1] * ctx.r) + 1
+    for d in range(top + 1):
+        for a in monics(ctx, d):
+            assert linear_map(a, basis) == carlitz_map(a)
+            assert linear_map(a * c, basis) == carlitz_map(a * c)
 
 
 # ---------------------------------------------------------------------------
@@ -218,3 +252,69 @@ def test_monic_sum_independent_of_grouping():
     even = weighted(lambda d: d % 2 == 0)
     odd = weighted(lambda d: d % 2 == 1)
     assert (even + odd) == full
+
+
+# ---------------------------------------------------------------------------
+# power sums by the lattice recursion, against the sum over every monic a
+
+
+def lattice_val(q, d):
+    """Valuation of t_d, the sum of u(az) over monic a of degree d."""
+    return q ** (2 * d) - (q ** (2 * d) - 1) // (q + 1)
+
+
+def assert_same_series(f, g):
+    assert (f.val, f.prec, f.den, f.coeffs, f.support_class) == (
+        g.val, g.prec, g.den, g.coeffs, g.support_class)
+
+
+def compare_power_sums(ctx, k, prec):
+    lattice = monic_power_sum(ctx, k, prec)
+    assert_same_series(lattice,
+                       monic_series_sum(ctx, lambda a: 1, k, prec))
+    return lattice
+
+
+# the per-monic route gets costly beyond these precisions
+CAP = {3: 170, 5: 510, 9: 600}
+
+
+def cutoffs(q, k):
+    """Precisions one below, at and one above each degree cutoff of both
+    routes: k * v(d) for the lattice, k * q^d and (q - 1) * q^d per
+    monic."""
+    marks = set()
+    for d in range(6):
+        marks |= {k * lattice_val(q, d), k * q ** d, (q - 1) * q ** d}
+    return sorted(m + s for m in marks for s in (-1, 0, 1)
+                  if 1 <= m + s <= CAP[q])
+
+
+@pytest.mark.parametrize("ctx", (F3, F5, F9), ids=lambda c: f"q{c.q}")
+@pytest.mark.parametrize("which", ("one", "q-1"))
+def test_power_sum_straddles_every_cutoff(ctx, which):
+    k = 1 if which == "one" else ctx.q - 1
+    for prec in cutoffs(ctx.q, k):
+        compare_power_sums(ctx, k, prec)
+
+
+@pytest.mark.parametrize("ctx", (F3, F5, F9), ids=lambda c: f"q{c.q}")
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_power_sum_matches_monic_sum(ctx, data):
+    q = ctx.q
+    k = data.draw(st.sampled_from((1, q - 1, q)), label="power")
+    prec = data.draw(st.sampled_from(cutoffs(q, k))
+                     | st.integers(1, CAP[q] // 2), label="prec")
+    s = compare_power_sums(ctx, k, prec)
+    if prec > k:
+        # u^k from a = 1 leads, and the window is exactly [k, prec)
+        assert s.val == k and s.coeff(k).is_one()
+
+
+def test_power_sum_rejects_bad_power():
+    for k in (0, F3.q + 1):
+        with pytest.raises(ValueError):
+            monic_power_sum(F3, k, 10)
+    with pytest.raises(ValueError):
+        monic_power_sum(F3, 1, 0)

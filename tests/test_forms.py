@@ -1,7 +1,13 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from drinfeldforms.carlitz import monic_series_sum
-from drinfeldforms.errors import BadWeight, EmptySpace, ExprError
+from drinfeldforms.errors import (
+    BadWeight,
+    EmptySpace,
+    ExprError,
+    PrecisionExceeded,
+)
 from drinfeldforms.fieldpoly import Poly, RatFunc, make_field, special_modulus
 from drinfeldforms.forms import (
     FormExpr,
@@ -19,6 +25,7 @@ from drinfeldforms.forms import (
     get_form,
     space_dim,
 )
+from drinfeldforms.useries import USeries
 
 F3 = make_field(3, 1)
 F5 = make_field(5, 1)
@@ -102,6 +109,51 @@ def test_g1_displayed_coefficients(ctx):
     for e, c in g1.terms():
         if e:
             assert (c.num % bracket).is_zero()
+
+
+def g1_oracle(ctx, prec):
+    """g1 = 1 - (T^q - T) * sum of u(az)^(q-1), the sum taken over every
+    monic a: one series inverse per monic, against one per degree in
+    ``build_g1``."""
+    if prec < ctx.q:
+        raise ValueError("prec must be at least q")
+    s = monic_series_sum(ctx, lambda a: Poly.one(ctx), ctx.q - 1, prec)
+    return (USeries.one(ctx, prec, support_class=0)
+            - s * special_modulus(ctx, 1))
+
+
+def assert_same_series(f, g):
+    assert (f.val, f.prec, f.den, f.coeffs, f.support_class) == (
+        g.val, g.prec, g.den, g.coeffs, g.support_class)
+
+
+@pytest.mark.parametrize("ctx,prec", ((F3, 320), (F5, 160), (F9, 110)),
+                         ids=("q3", "q5", "q9"))
+def test_g1_matches_per_monic_oracle(ctx, prec):
+    # the full window; at q = 3, prec 320 the lattice sum runs over
+    # degrees 0 .. 2 and the oracle over degrees 0 .. 4
+    assert_same_series(build_g1(ctx, prec), g1_oracle(ctx, prec))
+
+
+# the lowest precision each builder accepts, and a cap on P for the
+# builds at 2P
+PREC_RANGE = {3: (3, 60), 5: (5, 60), 9: (9, 90)}
+
+
+@pytest.mark.parametrize("ctx", FIELDS, ids=lambda c: f"q{c.q}")
+@pytest.mark.parametrize("build", (build_g1, build_E,
+                                   build_DeltaT_from_monic_sum),
+                         ids=lambda b: b.__name__)
+@settings(max_examples=8, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_builds_at_P_are_builds_at_2P_truncated(ctx, build, data):
+    # the precision-window contract: a series built to P agrees with the
+    # same build to 2P cut down to P, and reading at P raises
+    prec = data.draw(st.integers(*PREC_RANGE[ctx.q]), label="prec")
+    f = build(ctx, prec)
+    assert_same_series(f, build(ctx, 2 * prec).truncate(prec))
+    with pytest.raises(PrecisionExceeded):
+        f.coeff(prec)
 
 
 @pytest.mark.parametrize("ctx", FIELDS, ids=lambda c: f"q{c.q}")
