@@ -43,14 +43,13 @@ def carlitz_map(a):
         raise ZeroInput("the Carlitz action of 0 is not defined here")
     ctx = a.ctx
     q = ctx.q
-    T = Poly.T(ctx)
     cs = a.coeffs()
     d = len(cs) - 1
     coeffs = [Poly.constant(ctx, cs[d])]
-    tq = [T]  # tq[i] = T^(q^i), extended on demand
+    tq = []  # tq[i] = T^(q^i), extended on demand
     for j in range(d - 1, -1, -1):
         while len(tq) < len(coeffs):
-            tq.append(tq[-1] ** q)
+            tq.append(Poly.from_pairs(ctx, [(q ** len(tq), 1)]))
         new = [Poly.zero(ctx) for _ in range(len(coeffs) + 1)]
         for i, li in enumerate(coeffs):
             # rho o rho_T: l_i X^(q^i) -> l_i T^(q^i) X^(q^i) + l_i X^(q^(i+1))

@@ -52,20 +52,8 @@ class CongruenceWitness:
         return self.verdict in (CONGRUENT_ZERO, EXACT_ZERO)
 
     def json_dict(self):
-        return {
-            "q": self.q,
-            "k": self.k,
-            "l": self.l,
-            "d": self.d,
-            "a": self.a,
-            "b": self.b,
-            "form": self.form,
-            "exp": self.exp,
-            "coeff": str(self.coeff),
-            "modulus": str(self.modulus),
-            "residue": str(self.residue),
-            "verdict": self.verdict,
-        }
+        return {k: str(v) if isinstance(v, Poly) else v
+                for k, v in vars(self).items()}
 
 
 def _step(ctx, d):

@@ -222,23 +222,12 @@ class FieldCtx:
     def _add_codes(self, a, b):
         if self.r == 1:
             return (a + b) % self.p
-        out, m = 0, 1
-        for _ in range(self.r):
-            out += ((a + b) % self.p) * m
-            a //= self.p
-            b //= self.p
-            m *= self.p
-        return out
+        return self._encode(self._decode(a) + self._decode(b))
 
     def _neg_code(self, a):
         if self.r == 1:
             return (-a) % self.p
-        out, m = 0, 1
-        for _ in range(self.r):
-            out += ((-a) % self.p) * m
-            a //= self.p
-            m *= self.p
-        return out
+        return self._encode(-self._decode(a))
 
     def _sub_codes(self, a, b):
         return self._add_codes(a, self._neg_code(b))
@@ -412,6 +401,71 @@ class FqElem:
 # Dense polynomials over GF(p^r)
 
 
+def _trimmed(arr):
+    """``arr`` cut after its last nonzero column, the last axis being the
+    power of T: the one trimming rule of polynomials and series blocks."""
+    n = arr.shape[-1]
+    if not n or np.count_nonzero(arr[..., n - 1]):
+        return arr
+    nz = np.flatnonzero(arr.any(axis=tuple(range(arr.ndim - 1))))
+    return arr[..., :nz[-1] + 1 if nz.size else 0]
+
+
+def _times_coords(ctx, coords, arr):
+    """A coefficient array of any shape, coordinate axis first, times the
+    field element with coordinates ``coords``; entries in [0, p)."""
+    if ctx.r == 1:
+        return arr * int(coords[0]) % ctx.p
+    r = ctx.r
+    acc = np.zeros((2 * r - 1,) + arr.shape[1:], dtype=np.int64)
+    for i in range(r):
+        if coords[i]:
+            acc[i:i + r] += coords[i] * arr
+    return ctx._fold(acc)
+
+
+def _frobenius_array(ctx, arr):
+    """The p-th power of every polynomial in a coefficient array of any
+    shape, coordinate axis first and T last: c(T)^p = sum a_i^p T^(ip)."""
+    p, r = ctx.p, ctx.r
+    if r > 1:
+        arr = np.tensordot(ctx._frob, arr, axes=1) % p
+    n = arr.shape[-1]
+    out = np.zeros(arr.shape[:-1] + (p * (n - 1) + 1 if n else 0,),
+                   dtype=np.int64)
+    out[..., ::p] = arr
+    return out
+
+
+def _rows_divmod(ctx, arr, g):
+    """Quotients and remainders of all the polynomials in a coefficient
+    array of any shape, coordinate axis first and T last, by the nonzero
+    polynomial with trimmed coefficient array g: one long division."""
+    p, r = ctx.p, ctx.r
+    dg = g.shape[1] - 1
+    inv = ctx.element(g[:, dg].tolist()).inverse().coords
+    work = np.array(arr, dtype=np.int64)
+    quot = np.zeros(arr.shape[:-1] + (max(arr.shape[-1] - dg, 0),),
+                    dtype=np.int64)
+    for k in range(arr.shape[-1] - 1, dg - 1, -1):
+        qc = work[..., k]
+        if not qc.any():
+            continue
+        qc = quot[..., k - dg] = _times_coords(ctx, inv, qc)
+        if r == 1:
+            sub = np.multiply.outer(qc, g[0])
+        else:
+            # products of coordinate planes, reduced mod the modulus
+            sub = np.zeros((2 * r - 1,) + qc.shape[1:] + (dg + 1,),
+                           dtype=np.int64)
+            for i in range(r):
+                for j in range(r):
+                    sub[i + j] += np.multiply.outer(qc[i], g[j])
+            sub = ctx._fold(sub)
+        work[..., k - dg:k + 1] = (work[..., k - dg:k + 1] - sub) % p
+    return quot, work[..., :dg]
+
+
 def _convolve_mod(a, b, p):
     # exact 1-D convolution of residue vectors; int64 is safe at desk scale
     if a.size * (p - 1) * (p - 1) < (1 << 62):
@@ -424,6 +478,22 @@ def _convolve_mod(a, b, p):
             for j, bj in enumerate(bl):
                 out[i + j] = (out[i + j] + ai * bj) % p
     return np.array(out, dtype=np.int64)
+
+
+def _poly_product(ctx, a, b):
+    """Product of two nonzero coefficient arrays of shape (r, n), reduced;
+    the product of trimmed arrays is trimmed."""
+    if ctx.r == 1:
+        return _convolve_mod(a[0], b[0], ctx.p)[None, :]
+    r = ctx.r
+    acc = np.zeros((2 * r - 1, a.shape[1] + b.shape[1] - 1), dtype=np.int64)
+    for i in range(r):
+        if not a[i].any():
+            continue
+        for j in range(r):
+            if b[j].any():
+                acc[i + j] += np.convolve(a[i], b[j])
+    return ctx._fold(acc)
 
 
 class Poly:
@@ -440,10 +510,7 @@ class Poly:
         arr = np.asarray(arr, dtype=np.int64)
         if arr.ndim != 2 or arr.shape[0] != ctx.r:
             raise ValueError("coefficient array has wrong shape")
-        n = arr.shape[1]
-        while n > 0 and not np.count_nonzero(arr[:, n - 1]):
-            n -= 1
-        arr = np.ascontiguousarray(arr[:, :n])
+        arr = np.ascontiguousarray(_trimmed(arr))
         arr.setflags(write=False)
         self.ctx = ctx
         self.arr = arr
@@ -459,9 +526,7 @@ class Poly:
 
     @classmethod
     def T(cls, ctx):
-        arr = np.zeros((ctx.r, 2), dtype=np.int64)
-        arr[0, 1] = 1
-        return cls(ctx, arr)
+        return cls.from_coeffs(ctx, (0, 1))
 
     @classmethod
     def constant(cls, ctx, c):
@@ -568,21 +633,7 @@ class Poly:
             return NotImplemented
         if self.is_zero() or other.is_zero():
             return Poly.zero(self.ctx)
-        ctx = self.ctx
-        a, b = self.arr, other.arr
-        if ctx.r == 1:
-            return Poly(ctx, _convolve_mod(a[0], b[0], ctx.p)[None, :])
-        r = ctx.r
-        m = a.shape[1] + b.shape[1] - 1
-        acc = np.zeros((2 * r - 1, m), dtype=np.int64)
-        for i in range(r):
-            if not a[i].any():
-                continue
-            for j in range(r):
-                if not b[j].any():
-                    continue
-                acc[i + j] += np.convolve(a[i], b[j])
-        return Poly(ctx, ctx._fold(acc))
+        return Poly(self.ctx, _poly_product(self.ctx, self.arr, other.arr))
 
     __rmul__ = __mul__
 
@@ -595,26 +646,11 @@ class Poly:
         ctx = self.ctx
         if ctx.r == 1:
             return Poly(ctx, (self.arr * e.code) % ctx.p)
-        return Poly(ctx, self._scale_block(np.array(e.coords,
-                                                    dtype=np.int64),
-                                           self.arr))
-
-    def _scale_block(self, coords, block):
-        ctx = self.ctx
-        r = ctx.r
-        acc = np.zeros((2 * r - 1, block.shape[1]), dtype=np.int64)
-        for i in range(r):
-            if coords[i]:
-                acc[i:i + r] += coords[i] * block
-        return ctx._fold(acc)
+        return Poly(ctx, _times_coords(ctx, e.coords, self.arr))
 
     def _frobenius(self):
         """The p-th power: c(T)^p = sum a_i^p T^(ip)."""
-        ctx = self.ctx
-        arr = self.arr if ctx.r == 1 else ctx._frob @ self.arr % ctx.p
-        out = np.zeros((ctx.r, ctx.p * arr.shape[1]), dtype=np.int64)
-        out[:, ::ctx.p] = arr
-        return Poly(ctx, out)
+        return Poly(self.ctx, _frobenius_array(self.ctx, self.arr))
 
     def __pow__(self, n):
         if n < 0:
@@ -627,31 +663,10 @@ class Poly:
             return NotImplemented
         if other.is_zero():
             raise DivisionByZero("polynomial division by zero")
-        ctx = self.ctx
-        dg = other.arr.shape[1] - 1
-        df = self.arr.shape[1] - 1
-        if df < dg:
-            return Poly.zero(ctx), self
-        ginv = other.lead.inverse()
-        ginv_coords = np.array(ginv.coords, dtype=np.int64)
-        work = self.arr.copy()
-        quot = np.zeros((ctx.r, df - dg + 1), dtype=np.int64)
-        garr = other.arr
-        for k in range(df, dg - 1, -1):
-            col = work[:, k]
-            if not col.any():
-                continue
-            if ctx.r == 1:
-                qc = (col * ginv.code) % ctx.p
-                quot[:, k - dg] = qc
-                work[:, k - dg:k + 1] = (work[:, k - dg:k + 1]
-                                         - qc[0] * garr) % ctx.p
-            else:
-                qc = ctx._mul_coords(col, ginv_coords)
-                quot[:, k - dg] = qc
-                work[:, k - dg:k + 1] = (work[:, k - dg:k + 1]
-                                         - self._scale_block(qc, garr)) % ctx.p
-        return Poly(ctx, quot), Poly(ctx, work[:, :dg])
+        if self.arr.shape[1] < other.arr.shape[1]:
+            return Poly.zero(self.ctx), self
+        quot, rem = _rows_divmod(self.ctx, self.arr, other.arr)
+        return Poly(self.ctx, quot), Poly(self.ctx, rem)
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -803,12 +818,7 @@ class RatFunc:
 
     def __sub__(self, other):
         other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if self.den.is_one() and other.den.is_one():
-            return RatFunc._reduced(self.num - other.num, self.den)
-        num = self.num * other.den - other.num * self.den
-        return RatFunc(num, self.den * other.den)
+        return NotImplemented if other is NotImplemented else self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -1077,11 +1087,6 @@ class Matrix:
     def row(self, i):
         return self.entries[i]
 
-    def transpose(self):
-        return Matrix(self.ctx, [[self.entries[i][j]
-                                  for i in range(self.rows)]
-                                 for j in range(self.cols)])
-
     def rref(self):
         """Reduced row echelon form with unit pivots; returns the echelon
         matrix and the tuple of pivot columns.
@@ -1158,7 +1163,7 @@ def left_kernel(mat):
     kernel is trivial.
     """
     ctx = mat.ctx
-    reduced, pivots = mat.transpose().rref()
+    reduced, pivots = Matrix(ctx, list(zip(*mat.entries))).rref()
     free = [j for j in range(mat.rows) if j not in pivots]
     if not free:
         return []

@@ -68,9 +68,7 @@ def build_E(ctx, prec):
     """The false Eisenstein series, sum over monic a of a * u(az)."""
     if prec < 2:
         raise ValueError("prec must be at least 2")
-    s = monic_series_sum(ctx, lambda a: a, 1, prec)
-    return USeries._of(ctx, s.coeffs, s.den, prec, val=1,
-                       support_class=1 % (ctx.q - 1))
+    return monic_series_sum(ctx, lambda a: a, 1, prec)
 
 
 def build_ET(ctx, prec):
@@ -118,8 +116,9 @@ def build_DeltaT_from_monic_sum(ctx, prec):
         return Poly.zero(ctx) if (a % T).is_zero() else Poly.one(ctx)
 
     s = monic_series_sum(ctx, weight, q - 1, prec)
-    return USeries._of(ctx, s.coeffs, s.den, prec,
-                       val=min(s.val, prec - 1), support_class=0)
+    # an empty sum (prec <= q - 1) is still tagged with Delta_T's class
+    return s if not s.is_zero() else USeries.monomial(ctx, 0, 0, prec,
+                                                       support_class=0)
 
 
 def build_DeltaW(ctx, prec):

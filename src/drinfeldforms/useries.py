@@ -23,19 +23,22 @@ cancellation tightens the window rather than leaving stale bounds.  Series
 over a support class c have all exponents congruent to c mod (q - 1); the
 class tag is propagated through arithmetic and checked on construction.
 
-Representation: a series is (1/den) * sum n_e u^e, with ``coeffs``
-mapping each exponent e to its nonzero numerator n_e in F_q[T] and ``den``
-one monic polynomial, the whole in lowest terms: gcd(den, n_e for all e)
-is 1.  Every kernel (products, inverses, powers, Frobenius, substitution)
-therefore runs over F_q[T]; a series is integral exactly when den is 1.
-Coefficients are handed out as reduced ``RatFunc`` values n_e / den.
+Representation: a series is (1/den) * sum n_e u^e with ``den`` one monic
+polynomial and the numerators n_e in F_q[T], in lowest terms: gcd(den, n_e
+for all e) is 1; it is integral exactly when den is 1.  The nonzero
+numerators form one read-only int64 ``block``, coordinate x row x power of
+T, row i holding the numerator of u^exps[i] for an ascending int64 vector
+``exps``.  The block is canonical: entries lie in [0, p), every row and
+the last T-column are nonzero, and the zero series has an empty block.
+Rows carry their exponents because a substitution over a large field
+spreads a few terms over about q * (prec - val) exponents.  Every kernel
+works on blocks; ``Poly`` and ``RatFunc`` objects are built only when a
+coefficient is read and when a denominator is reduced.
 
-Products are exact.  A product with at least ``_DENSE_MIN_PAIRS`` stored
-term pairs is computed on the numerators as one two-dimensional
-convolution in u and T (see ``_dense_product``); it uses floating-point
-FFTs only when Percival's a-priori error bound certifies that rounding
-recovers every integer exactly, and an exact integer convolution
-otherwise.  Smaller products run term by term.
+Products are exact: each is one two-dimensional convolution in u and T of
+the two blocks laid out on the gcd of their exponent differences (see
+``_dense_product``), by floating-point FFTs only when Percival's a-priori
+error bound certifies that rounding recovers every integer exactly.
 """
 
 from __future__ import annotations
@@ -46,11 +49,8 @@ import numpy as np
 
 from .errors import MixedField, PrecisionExceeded, ZeroSeries
 from .fieldpoly import (FqElem, Poly, RatFunc, _as_ratfunc, _cleared_row,
-                        _convolve_mod, _power)
-
-# products with fewer stored term pairs stay on the term-by-term loop,
-# which is cheaper than the fixed cost of packing and three small FFTs
-_DENSE_MIN_PAIRS = 8
+                        _convolve_mod, _frobenius_array, _poly_product,
+                        _power, _rows_divmod, _times_coords, _trimmed)
 
 
 def _times(a, b):
@@ -58,74 +58,112 @@ def _times(a, b):
     return b if a.is_one() else a if b.is_one() else a * b
 
 
+def _stack(ctx, rows):
+    """One block from a list of (r, n) coefficient arrays, padded in T."""
+    block = np.zeros((ctx.r, len(rows), max([a.shape[1] for a in rows],
+                                            default=0)), dtype=np.int64)
+    for i, a in enumerate(rows):
+        block[:, i, :a.shape[1]] = a
+    return block
+
+
+def _gcd(exps):
+    # gcd of the differences of an ascending exponent vector; 0 for one row
+    return math.gcd(*(exps - exps[:1]).tolist())
+
+
+_ONES = {}
+
+
+def _one(ctx):
+    # the one denominator 1 that every integral series over ctx shares, so
+    # that equal denominators are mostly the same object
+    one = _ONES.get(ctx.key)
+    if one is None:
+        one = _ONES[ctx.key] = Poly.one(ctx)
+    return one
+
+
 class USeries:
     """Truncated Laurent series with exponent window [val, prec), stored as
-    polynomial numerators over one monic common denominator."""
+    one block of polynomial numerators over a monic common denominator."""
 
-    __slots__ = ("ctx", "val", "prec", "coeffs", "den", "support_class")
+    __slots__ = ("ctx", "val", "prec", "den", "support_class", "exps",
+                 "block")
 
     def __init__(self, ctx, coeffs, prec, val=None, support_class=None):
         values = [_as_ratfunc(ctx, c) for c in coeffs.values()]
         nums, den = _cleared_row(ctx, values)
-        self._setup(ctx, dict(zip(coeffs, nums)), den, prec, val,
-                    support_class)
+        self._fill(ctx, dict(zip(coeffs, nums)), den, prec, val,
+                   support_class)
 
     @classmethod
     def _of(cls, ctx, nums, den, prec, val=None, support_class=None):
-        """The series (1/den) * sum nums[e] u^e from polynomial numerators;
-        the internal constructor."""
+        """The series (1/den) * sum nums[e] u^e from polynomial numerators."""
         self = object.__new__(cls)
-        self._setup(ctx, nums, den, prec, val, support_class)
+        self._fill(ctx, nums, den, prec, val, support_class)
         return self
 
-    def _setup(self, ctx, nums, den, prec, val, support_class):
+    def _fill(self, ctx, nums, den, prec, val, support_class):
+        # checks the window and the class, then lays out the numerators
         if not isinstance(prec, int):
             raise TypeError("prec must be an integer")
-        items = sorted((e, n) for e, n in nums.items() if not n.is_zero())
-        if items:
-            lo = items[0][0]
-            hi = items[-1][0]
-            if hi >= prec:
-                raise ValueError(f"coefficient at u^{hi} outside prec {prec}")
-            if val is not None and lo < val:
-                raise ValueError(f"coefficient at u^{lo} below val {val}")
-            val = lo
-        else:
-            if val is None:
-                val = prec - 1
-            val = min(val, prec - 1)
-            den = Poly.one(ctx)
-        if prec <= val:
-            raise ValueError(f"empty window: val {val}, prec {prec}")
+        items = sorted((e, n.arr) for e, n in nums.items() if not n.is_zero())
+        exps = np.array([e for e, _ in items], dtype=np.int64)
+        if items and items[-1][0] >= prec:
+            raise ValueError(
+                f"coefficient at u^{items[-1][0]} outside prec {prec}")
+        if items and val is not None and items[0][0] < val:
+            raise ValueError(f"coefficient at u^{items[0][0]} below val {val}")
         if support_class is not None:
-            m = ctx.q - 1
-            support_class %= m
-            for e, _ in items:
-                if e % m != support_class:
-                    raise ValueError(
-                        f"exponent {e} escapes support class "
-                        f"{support_class} mod {m}")
-        if not den.is_one():
-            # lowest terms with a monic denominator: a product, sum or
-            # truncation can leave a factor common to den and every numerator
-            g = den
-            for _, n in items:
-                if g.degree < 1:
-                    break
-                g = g.gcd(n)
-            if g.degree > 0:
-                den = den // g
-                items = [(e, n // g) for e, n in items]
-            if not den.lead.is_one():
-                inv = den.lead.inverse()
-                den = den._scale(inv)
-                items = [(e, n._scale(inv)) for e, n in items]
+            support_class %= ctx.q - 1
+            for e in exps[exps % (ctx.q - 1) != support_class][:1].tolist():
+                raise ValueError(f"exponent {e} escapes support class "
+                                 f"{support_class} mod {ctx.q - 1}")
+        self._setup(ctx, exps, _stack(ctx, [a for _, a in items]), den, prec if val is None else val,
+                    prec, support_class, sums=False)
+
+    @classmethod
+    def _make(cls, ctx, exps, block, den, low, prec, support_class,
+              sums=True):
+        """The series with numerator block[:, i] at u^exps[i] over den,
+        entries in [0, p), cut below prec; a zero result has valuation
+        min(low, prec - 1).  ``sums`` is False when no row can be zero."""
+        self = object.__new__(cls)
+        self._setup(ctx, exps, block, den, low, prec, support_class, sums)
+        return self
+
+    def _setup(self, ctx, exps, block, den, low, prec, support_class,
+               sums=True):
+        # the canonical form: zero rows and T-columns dropped, lowest terms
+        # and a monic denominator
+        if exps.size and exps[-1] >= prec:
+            cut = int(np.searchsorted(exps, prec))
+            exps, block = exps[:cut], block[:, :cut]
+        if sums:
+            keep = block.any(axis=(0, 2))
+            if not keep.all():
+                exps, block = exps[keep], block[:, keep]
+        if den is not _one(ctx) and den.is_one():
+            den = _one(ctx)
+        if exps.size:
+            block = _trimmed(block)
+            if den is not _one(ctx):
+                block, den = _lowest_terms(ctx, block, den)
+            low = int(exps[0])
+        else:
+            block = np.zeros((ctx.r, 0, 0), dtype=np.int64)
+            den = _one(ctx)
+            low = min(low, prec - 1)
+        exps.setflags(write=False)
+        block.setflags(write=False)
         self.ctx = ctx
-        self.val = val
+        self.val = low
         self.prec = prec
-        self.coeffs = dict(items)
         self.den = den
         self.support_class = support_class
+        self.exps = exps
+        self.block = block
 
     @property
     def integral(self):
@@ -135,28 +173,35 @@ class USeries:
     # -- constructors ---------------------------------------------------
     @classmethod
     def zero(cls, ctx, prec):
-        return cls._of(ctx, {}, Poly.one(ctx), prec)
+        return cls._of(ctx, {}, _one(ctx), prec)
 
     @classmethod
     def one(cls, ctx, prec, support_class=None):
-        one = Poly.one(ctx)
+        one = _one(ctx)
         return cls._of(ctx, {0: one}, one, prec, support_class=support_class)
 
     @classmethod
     def monomial(cls, ctx, coeff, exp, prec, support_class=None):
         return cls(ctx, {exp: coeff}, prec, support_class=support_class)
 
-    # -- bookkeeping ----------------------------------------------------
+    # -- bookkeeping and reading ------------------------------------------
     def _check(self, other):
         if self.ctx.key != other.ctx.key:
             raise MixedField("series over different fields")
 
     def _eff_val(self):
         # tight valuation bound: prec itself for a window of zeros
-        return self.val if self.coeffs else self.prec
+        return self.prec if self.is_zero() else self.val
 
     def is_zero(self):
-        return not self.coeffs
+        return not self.exps.size
+
+    @property
+    def coeffs(self):
+        """The stored numerators as a new {exponent: Poly} dict, exponents
+        ascending; for reading only, the kernels work on ``block``."""
+        return {e: Poly(self.ctx, self.block[:, i])
+                for i, e in enumerate(self.exps.tolist())}
 
     def terms(self):
         """Stored (exponent, coefficient) pairs, exponents ascending."""
@@ -167,7 +212,10 @@ class USeries:
         if e >= self.prec:
             raise PrecisionExceeded(
                 f"coefficient of u^{e} requested, precision is {self.prec}")
-        return RatFunc(self.coeffs.get(e) or Poly.zero(self.ctx), self.den)
+        i = int(np.searchsorted(self.exps, e))
+        if i < self.exps.size and self.exps[i] == e:
+            return RatFunc(Poly(self.ctx, self.block[:, i]), self.den)
+        return RatFunc(Poly.zero(self.ctx), self.den)
 
     def truncate(self, prec):
         """Forget coefficients at exponents >= prec."""
@@ -176,10 +224,8 @@ class USeries:
                 f"cannot extend precision {self.prec} to {prec}")
         if prec == self.prec:
             return self
-        kept = {e: n for e, n in self.coeffs.items() if e < prec}
-        return USeries._of(self.ctx, kept, self.den, prec,
-                           val=min(self.val, prec - 1),
-                           support_class=self.support_class)
+        return USeries._make(self.ctx, self.exps, self.block, self.den,
+                             self.val, prec, self.support_class, sums=False)
 
     def shift(self, k):
         """Multiply by u^k (exact exponent shift)."""
@@ -188,10 +234,8 @@ class USeries:
         sc = self.support_class
         if sc is not None:
             sc = (sc + k) % (self.ctx.q - 1)
-        return USeries._of(self.ctx,
-                           {e + k: n for e, n in self.coeffs.items()},
-                           self.den, self.prec + k, val=self.val + k,
-                           support_class=sc)
+        return USeries._make(self.ctx, self.exps + k, self.block, self.den,
+                             self.val + k, self.prec + k, sc, sums=False)
 
     # -- ring operations -------------------------------------------------
     def _merged_class(self, other):
@@ -204,86 +248,106 @@ class USeries:
         return (self.support_class if self.support_class ==
                 other.support_class else None)
 
-    def __add__(self, other):
+    def _combine(self, other, sign):
+        # self + sign * other as one signed sum of the two blocks
         if not isinstance(other, USeries):
             return NotImplemented
         self._check(other)
+        ctx = self.ctx
         prec = min(self.prec, other.prec)
-        a, b, den = self.coeffs, other.coeffs, self.den
-        if den != other.den:
-            # over the product of the denominators; the constructor
-            # cancels what they share
-            a = {e: _times(n, other.den) for e, n in a.items()}
-            b = {e: _times(n, self.den) for e, n in b.items()}
-            den = _times(den, other.den)
-        out = {e: n for e, n in a.items() if e < prec}
-        for e, n in b.items():
-            if e >= prec:
-                continue
-            prev = out.get(e)
-            out[e] = n if prev is None else prev + n
-        return USeries._of(self.ctx, out, den, prec,
-                           val=min(self.val, other.val, prec - 1),
-                           support_class=self._merged_class(other))
+        same = self.den is other.den or self.den == other.den
+        parts = []
+        for t, s, d in ((1, self, other.den), (sign, other, self.den)):
+            e, b = s.exps, s.block
+            if e.size and e[-1] >= prec:
+                cut = int(np.searchsorted(e, prec))
+                e, b = e[:cut], b[:, :cut]
+            if e.size and not (same or d.is_one()):
+                # over the product of the denominators; the constructor
+                # cancels what they share
+                b = _dense_product(ctx, b, d.arr[:, None, :], e.size)
+            parts.append((t, e, b))
+        (_, e1, _), (_, e2, _) = parts
+        exps = e2 if not e1.size else e1 if not e2.size else np.union1d(e1, e2)
+        out = np.zeros((ctx.r, exps.size,
+                        max(b.shape[2] for _, _, b in parts)), dtype=np.int64)
+        for t, e, b in parts:
+            if e.size:
+                # a run of consecutive rows is written as one slice
+                i = int(np.searchsorted(exps, e[0]))
+                at = (slice(i, i + e.size) if exps[i + e.size - 1] == e[-1]
+                      else np.searchsorted(exps, e))
+                if t > 0:
+                    out[:, at, :b.shape[2]] += b
+                else:
+                    out[:, at, :b.shape[2]] -= b
+        return USeries._make(ctx, exps, out % ctx.p,
+                             self.den if same else _times(self.den, other.den),
+                             min(self.val, other.val), prec,
+                             self._merged_class(other))
+
+    def __add__(self, other):
+        return self._combine(other, 1)
 
     def __sub__(self, other):
-        if not isinstance(other, USeries):
-            return NotImplemented
-        return self + (-other)
+        return self._combine(other, -1)
 
     def __neg__(self):
-        return USeries._of(self.ctx, {e: -n for e, n in self.coeffs.items()},
-                           self.den, self.prec, val=self.val,
-                           support_class=self.support_class)
+        return USeries._make(self.ctx, self.exps, -self.block % self.ctx.p,
+                             self.den, self.val, self.prec,
+                             self.support_class, sums=False)
 
     def scale(self, s):
         """Multiply every coefficient by a scalar from F_q(T)."""
         s = _as_ratfunc(self.ctx, s)
         if s.is_zero():
             return USeries.zero(self.ctx, self.prec)
-        nums = self.coeffs
-        if not s.num.is_one():
-            nums = {e: n * s.num for e, n in nums.items()}
-        return USeries._of(self.ctx, nums, _times(self.den, s.den),
-                           self.prec, val=self.val,
-                           support_class=self.support_class)
+        block = self.block
+        if not s.num.is_one() and not self.is_zero():
+            block = _dense_product(self.ctx, block, s.num.arr[:, None, :],
+                                   block.shape[1])
+        return USeries._make(self.ctx, self.exps, block,
+                             _times(self.den, s.den), self.val, self.prec,
+                             self.support_class, sums=False)
+
+    def _grid(self, step, rows):
+        """The rows of the block below ``rows`` laid out on the exponents
+        val + step*i, zero rows filled in."""
+        at = (self.exps - self.val) // step
+        n = int(np.searchsorted(at, rows))
+        if at[n - 1] == n - 1:
+            return self.block[:, :n]
+        out = np.zeros((self.ctx.r, int(at[n - 1]) + 1, self.block.shape[2]),
+                       dtype=np.int64)
+        out[:, at[:n]] = self.block[:, :n]
+        return out
 
     def __mul__(self, other):
         if isinstance(other, USeries):
             self._check(other)
+            ctx = self.ctx
             prec = min(self._eff_val() + other.prec,
                        other._eff_val() + self.prec)
-            if len(self.coeffs) * len(other.coeffs) >= _DENSE_MIN_PAIRS:
-                out = _dense_product(self, other, prec)
-            else:
-                out = self._term_product(other, prec)
             sc = None
             if (self.support_class is not None
                     and other.support_class is not None):
-                sc = ((self.support_class + other.support_class)
-                      % (self.ctx.q - 1))
-            return USeries._of(self.ctx, out, _times(self.den, other.den),
-                               prec,
-                               val=min(self._eff_val() + other._eff_val(),
-                                       prec - 1),
-                               support_class=sc)
+                sc = (self.support_class + other.support_class) % (ctx.q - 1)
+            base = self._eff_val() + other._eff_val()
+            exps, block = self.exps[:0], self.block[:, :0]
+            # the u-axis is compressed by the gcd of all exponent
+            # differences, a multiple of q - 1 in a support class
+            step = math.gcd(_gcd(self.exps), _gcd(other.exps)) or 1
+            rows = -(-(prec - base) // step)
+            if rows > 0 and not (self.is_zero() or other.is_zero()):
+                a = self._grid(step, rows)
+                b = a if other is self else other._grid(step, rows)
+                block = _dense_product(ctx, a, b, rows)
+                exps = base + step * np.arange(block.shape[1])
+            return USeries._make(ctx, exps, block,
+                                 _times(self.den, other.den), base, prec, sc)
         if isinstance(other, (RatFunc, Poly, FqElem, int)):
             return self.scale(other)
         return NotImplemented
-
-    def _term_product(self, other, prec):
-        # numerators of self*other below prec, one pair of terms at a time
-        rhs = list(other.coeffs.items())
-        acc = {}
-        for e1, n1 in self.coeffs.items():
-            for e2, n2 in rhs:
-                e = e1 + e2
-                if e >= prec:
-                    break
-                v = n1 * n2
-                prev = acc.get(e)
-                acc[e] = v if prev is None else prev + v
-        return acc
 
     def __rmul__(self, other):
         if isinstance(other, (RatFunc, Poly, FqElem, int)):
@@ -293,53 +357,62 @@ class USeries:
     def inverse(self):
         """Multiplicative inverse; the relative precision is preserved.
 
-        With a_m the numerator m steps above the valuation and c = a_0, the
-        fraction-free recurrence B_0 = 1, B_j = -sum_m a_m c^(m-1) B_(j-m)
-        gives den * B_j / c^(j+1) at j steps above -val.
+        With g the gcd of the exponent differences, a_m the numerator m*g
+        above the valuation and c = a_0, the fraction-free recurrence
+        B_0 = 1, B_j = -sum_m a_m c^(m-1) B_(j-m) gives den * B_j / c^(j+1)
+        at j*g above -val.
         """
-        if not self.coeffs:
+        if self.is_zero():
             raise ZeroSeries("cannot invert a series with no nonzero "
                              "coefficient below its precision")
         ctx = self.ctx
+        p = ctx.p
         v = self.val
         rel = self.prec - v
-        one = Poly.one(ctx)
-        (_, c), *a = [(e - v, n) for e, n in self.coeffs.items()]
-        if not c.is_one():
-            # c^0 .. c^rel, each built once; a_m becomes a_m c^(m-1)
-            cpow = [one]
-            for _ in range(rel):
-                cpow.append(cpow[-1] * c)
-            a = [(k, ak * cpow[k - 1]) for k, ak in a]
-        a = [(k, -ak) for k, ak in a]  # so each B_j below is a plain sum
+        gap = _gcd(self.exps) or rel
+        rows = -(-rel // gap)
+        nz = self.block.any(axis=0)
+        ends = (nz.shape[1] - np.argmax(nz[:, ::-1], axis=1)).tolist()
+        c, *a = [self.block[:, i, :n] for i, n in enumerate(ends)]
+        a = list(zip(((self.exps[1:] - v) // gap).tolist(), a))
+        one = _one(ctx).arr
+        unit = c.shape == one.shape and c[0, 0] == 1 and not c[1:].any()
+        cpow = [one]  # c^0 .. c^rows, each built once
+        if not unit:
+            for _ in range(rows):
+                cpow.append(_poly_product(ctx, cpow[-1], c))
+            a = [(k, _poly_product(ctx, ak, cpow[k - 1])) for k, ak in a]
+        a = [(k, -ak % p) for k, ak in a]  # so each B_j below is a plain sum
         b = {0: one}
-        if a:
-            step = math.gcd(*[k for k, _ in a])
-            for n in range(step, rel, step):
-                s = None
-                for k, ak in a:
-                    if k > n:
-                        break
-                    bk = b.get(n - k)
-                    if bk is None:
-                        continue
-                    t = ak * bk
-                    s = t if s is None else s + t
-                if s is not None and not s.is_zero():
-                    b[n] = s
-        # over the common denominator c^(top+1) the numerator of
-        # coefficient n is den * B_n * c^(top-n); the constructor takes
-        # it to lowest terms and makes the denominator monic
-        den = one
-        if not c.is_one():
-            top = max(b)
-            b = {n: bn * cpow[top - n] for n, bn in b.items()}
-            den = cpow[top + 1]
-        b = {n - v: _times(self.den, bn) for n, bn in b.items()}
+        for n in range(1, rows):
+            terms = [ak if k == n else _poly_product(ctx, ak, b[n - k])
+                     for k, ak in a if k <= n and n - k in b]
+            if len(terms) == 1:
+                b[n] = terms[0]  # a nonzero product of trimmed arrays
+            elif terms:
+                acc = np.zeros((ctx.r, max(t.shape[1] for t in terms)),
+                               dtype=np.int64)
+                for t in terms:
+                    acc[:, :t.shape[1]] += t
+                acc = _trimmed(acc % p)
+                if acc.shape[1]:
+                    b[n] = acc
+        # over the common denominator c^(top+1) the numerator at row n is
+        # den * B_n * c^(top-n); the constructor takes it to lowest terms
+        # and makes the denominator monic
+        top = max(b)
+        b = {n: _poly_product(ctx, bn, cpow[top - n]) if not unit else bn
+             for n, bn in b.items()}
+        if not self.den.is_one():
+            b = {n: _poly_product(ctx, self.den.arr, bn)
+                 for n, bn in b.items()}
         sc = None
         if self.support_class is not None:
             sc = (-self.support_class) % (ctx.q - 1)
-        return USeries._of(ctx, b, den, rel - v, val=-v, support_class=sc)
+        return USeries._make(ctx, -v + gap * np.array(list(b)),
+                             _stack(ctx, list(b.values())),
+                             Poly(ctx, cpow[top + 1]) if not unit
+                             else _one(ctx), -v, rel - v, sc, sums=False)
 
     def __pow__(self, n):
         """Integer power: p-th powers by Frobenius, the rest by binary
@@ -357,16 +430,16 @@ class USeries:
     def _frobenius(self):
         # (sum c_e u^e)^p = sum c_e^p u^(pe) in characteristic p, kept on
         # the window p*val + (prec - val) that repeated products give
-        p = self.ctx.p
+        ctx = self.ctx
+        p = ctx.p
         v = self._eff_val()
-        prec = p * v + self.prec - v
-        out = {p * e: n._frobenius()
-               for e, n in self.coeffs.items() if p * e < prec}
         sc = self.support_class
         if sc is not None:
-            sc = sc * p % (self.ctx.q - 1)
-        return USeries._of(self.ctx, out, self.den._frobenius(), prec,
-                           support_class=sc)
+            sc = sc * p % (ctx.q - 1)
+        return USeries._make(ctx, p * self.exps,
+                             _frobenius_array(ctx, self.block),
+                             self.den._frobenius(), p * v,
+                             p * v + self.prec - v, sc, sums=False)
 
     # -- substitution u -> u(Tz) ------------------------------------------
     def substitute_Tz(self, out_prec=None):
@@ -386,33 +459,33 @@ class USeries:
             raise PrecisionExceeded(
                 f"substitution from precision {self.prec} only supports "
                 f"output precision {full}")
-        if not self.coeffs:
+        if self.is_zero():
             return USeries.zero(ctx, out_prec)
-        rows = {}
-        for e, n in self.coeffs.items():
+        # (input row, k, C(-e, k) mod p) for every term below out_prec
+        terms = []
+        for i, e in enumerate(self.exps.tolist()):
             stop = -(-(out_prec - q * e) // (q - 1))
             if e <= 0:
                 stop = min(stop, 1 - e)
-            for k in range(stop):
-                c = _binom_mod(-e, k, p)
-                if c:
-                    rows.setdefault(q * e + (q - 1) * k, []).append(
-                        (k, c, n.arr))
-        # each output numerator is summed in one int64 block, reduced mod p
-        # after every term so that the products c * n stay below p^2
-        nums = {}
-        for m, parts in rows.items():
-            block = np.zeros(
-                (ctx.r, max(k + a.shape[1] for k, _, a in parts)),
-                dtype=np.int64)
-            for k, c, a in parts:
-                window = block[:, k:k + a.shape[1]]
-                window += c * a
-                window %= p
-            nums[m] = Poly(ctx, block)
+            terms += [(i, k, c) for k in range(stop)
+                      if (c := _binom_mod(-e, k, p))]
+        exps, out = self.exps[:0], self.block[:, :0]
+        if terms:
+            i, k, c = np.array(terms, dtype=np.int64).T
+            exps, row = np.unique(q * self.exps[i] + (q - 1) * k,
+                                  return_inverse=True)
+            width = self.block.shape[2]
+            out = np.zeros((ctx.r, exps.size, int(k.max()) + width),
+                           dtype=np.int64)
+            # each term is reduced below p first, so that the sum over the
+            # input rows stays exact
+            np.add.at(out, (slice(None), row[:, None],
+                            k[:, None] + np.arange(width)),
+                      c[None, :, None] * self.block[:, i] % p)
+            out %= p
         # qe + (q-1)k = e mod (q-1), so classes are preserved
-        return USeries._of(ctx, nums, self.den, out_prec,
-                           support_class=self.support_class)
+        return USeries._make(ctx, exps, out, self.den, q * self.val,
+                             out_prec, self.support_class)
 
     # -- comparison, rendering, serialization ----------------------------
     def agrees_with(self, other, upto=None):
@@ -426,11 +499,14 @@ class USeries:
     def __eq__(self, other):
         return (isinstance(other, USeries) and self.ctx.key == other.ctx.key
                 and self.prec == other.prec and self.val == other.val
-                and self.den == other.den and self.coeffs == other.coeffs)
+                and self.den == other.den
+                and np.array_equal(self.exps, other.exps)
+                and np.array_equal(self.block, other.block))
 
     def __hash__(self):
         return hash((self.ctx.key, self.val, self.prec, self.den,
-                     tuple(self.coeffs.items())))
+                     self.exps.tobytes(), self.block.shape,
+                     self.block.tobytes()))
 
     def json_dict(self):
         """Stable serialization: terms sorted by exponent."""
@@ -441,13 +517,33 @@ class USeries:
         }
 
     def __str__(self):
-        if not self.coeffs:
+        if self.is_zero():
             return f"O(u^{self.prec})"
         body = " + ".join(f"({c})*u^{e}" for e, c in self.terms())
         return f"{body} + O(u^{self.prec})"
 
     def __repr__(self):
         return f"USeries({self}, q={self.ctx.q})"
+
+
+def _lowest_terms(ctx, block, den):
+    """Block and denominator with their common factor divided out and the
+    denominator made monic.  The gcd runs on the remainders of the rows
+    mod den, the only row Polys a kernel builds."""
+    quot, rem = _rows_divmod(ctx, block, den.arr)
+    g = den
+    for i in np.flatnonzero(rem.any(axis=(0, 2))).tolist():
+        if g.degree < 1:
+            break
+        g = g.gcd(Poly(ctx, rem[:, i]))
+    if g.degree > 0:
+        block = _trimmed(quot if g == den else
+                         _rows_divmod(ctx, block, g.arr)[0])
+        den = den // g
+    if not den.lead.is_one():
+        inv = den.lead.inverse()
+        den, block = den._scale(inv), _times_coords(ctx, inv.coords, block)
+    return block, den
 
 
 def _binom_mod(n, k, p):
@@ -465,6 +561,11 @@ def _binom_mod(n, k, p):
     return out
 
 
+# direct convolutions below this many products beat the fixed cost of
+# three small FFTs (about 0.1 ms with numpy 2.4)
+_DIRECT_MAX = 1 << 17
+
+
 def _fft_error(n):
     """Percival's forward error bound for an FFT product of length 2^n, per
     unit of |x|_2 * |y|_2, with twiddle factors accurate to one ulp
@@ -474,79 +575,53 @@ def _fft_error(n):
                       + (3 * n + 1) * math.log1p(eps * math.sqrt(5)))
 
 
-def _pack(s, rows, stride):
-    """Coordinate x u-row x T-degree block of the numerators of a series,
-    row i holding the numerator of u^(val + stride*i) for i < rows, with
-    residues centred on zero."""
-    ctx = s.ctx
-    terms = []
-    for e, c in s.coeffs.items():
-        i = (e - s.val) // stride
-        if i >= rows:
-            break
-        terms.append((i, c.arr))
-    block = np.zeros((ctx.r, terms[-1][0] + 1,
-                      max(arr.shape[1] for _, arr in terms)), dtype=np.int64)
-    for i, arr in terms:
-        block[:, i, :arr.shape[1]] = arr
-    block[block > ctx.p // 2] -= ctx.p
-    return block
+def _dense_product(ctx, A, B, rows):
+    """The first ``rows`` rows of the product of two nonzero numerator
+    blocks whose rows lie on one exponent step, as one two-dimensional
+    convolution in u and T.
 
-
-def _dense_product(a, b, prec):
-    """Numerators of a*b below prec for nonzero a and b with at least
-    three stored terms between them, as one two-dimensional convolution
-    in u and T.
-
-    The u-axis is compressed by the gcd of all exponent differences, which
-    is a multiple of q - 1 for series in a support class.  A real FFT is
-    used when ``|A|_2 |B|_2 r err(log2 N + 1) < 1/4`` certifies that every
-    rounded entry is exact (the extra stage covers the real-to-complex
-    split); otherwise each coordinate plane is flattened with a T-stride
-    and multiplied by the exact 1-D convolution of ``fieldpoly``.
+    Each coordinate plane, flattened with a T-stride, has about
+    rows*width entries.  When a direct convolution of two such planes
+    costs at least ``_DIRECT_MAX`` products, residues are centred on zero
+    and a real FFT is used if ``|A|_2 |B|_2 r err(log2 N + 1) < 1/4``
+    certifies that every rounded entry is exact (the extra stage covers
+    the real-to-complex split).  Otherwise the flattened planes are
+    multiplied by the exact 1-D convolution of ``fieldpoly``.
     """
-    ctx = a.ctx
     p, r = ctx.p, ctx.r
-    stride = 0
-    for s in (a, b):
-        for e in s.coeffs:
-            stride = math.gcd(stride, e - s.val)
-    rows = -(-(prec - a.val - b.val) // stride)
-    A = _pack(a, rows, stride)
-    B = A if b is a else _pack(b, rows, stride)
+    A = A[:, :rows]
+    B = A if B is A else B[:, :rows]
     (na, da), (nb, db) = A.shape[1:], B.shape[1:]
     m = min(rows, na + nb - 1)
     width = da + db - 1
-    n1 = 1 << (na + nb - 2).bit_length()
-    n2 = 1 << (width - 1).bit_length()
-    fa = A.astype(np.float64)
-    fb = fa if B is A else B.astype(np.float64)
-    # (n1 * n2).bit_length() is log2 N + 1
-    if (math.sqrt(np.vdot(fa, fa) * np.vdot(fb, fb)) * r
-            * _fft_error((n1 * n2).bit_length()) < 0.25):
-        fa = np.fft.rfft2(fa, (n1, n2))
-        fb = fa if B is A else np.fft.rfft2(fb, (n1, n2))
-        planes = np.zeros((2 * r - 1,) + fa.shape[1:], dtype=np.complex128)
-        for i in range(r):
-            for j in range(r):
-                planes[i + j] += fa[i] * fb[j]
-        prod = np.fft.irfft2(planes, (n1, n2))[:, :m, :width]
-        acc = np.rint(prod).astype(np.int64)
-    else:
-        acc = np.zeros((2 * r - 1, m, width), dtype=np.int64)
+    if r * na * nb * width * width >= _DIRECT_MAX:
+        n1 = 1 << (na + nb - 2).bit_length()
+        n2 = 1 << (width - 1).bit_length()
+        fa = np.where(A > p // 2, A - p, A).astype(np.float64)
+        fb = fa if B is A else np.where(B > p // 2, B - p,
+                                        B).astype(np.float64)
+        # (n1 * n2).bit_length() is log2 N + 1
+        if (math.sqrt(np.vdot(fa, fa) * np.vdot(fb, fb)) * r
+                * _fft_error((n1 * n2).bit_length()) < 0.25):
+            fa = np.fft.rfft2(fa, (n1, n2))
+            fb = fa if B is A else np.fft.rfft2(fb, (n1, n2))
+            planes = np.zeros((2 * r - 1,) + fa.shape[1:],
+                              dtype=np.complex128)
+            for i in range(r):
+                for j in range(r):
+                    planes[i + j] += fa[i] * fb[j]
+            prod = np.fft.irfft2(planes, (n1, n2))[:, :m, :width]
+            return ctx._fold(np.rint(prod).astype(np.int64))
+    acc = np.zeros((2 * r - 1, m, width), dtype=np.int64)
 
-        def flat(block, i):
-            plane = np.zeros((block.shape[1], width), dtype=np.int64)
-            plane[:, :block.shape[2]] = block[i]
-            return plane.ravel()[:(block.shape[1] - 1) * width
-                                 + block.shape[2]]
-        for i in range(r):
+    def flat(block, i):
+        plane = np.zeros((block.shape[1], width), dtype=np.int64)
+        plane[:, :block.shape[2]] = block[i]
+        return plane.ravel()[:(block.shape[1] - 1) * width + block.shape[2]]
+    for i in range(r):
+        if A[i].any():
             for j in range(r):
-                c = _convolve_mod(flat(A, i), flat(B, j), p)
-                acc[i + j] += c[:m * width].reshape(m, width)
-    out = ctx._fold(acc)
-    nz = out.any(axis=0)
-    lengths = (width - np.argmax(nz[:, ::-1], axis=1)).tolist()
-    base = a.val + b.val
-    return {base + stride * k: Poly(ctx, out[:, k, :lengths[k]].copy())
-            for k in np.flatnonzero(nz.any(axis=1)).tolist()}
+                if B[j].any():
+                    c = _convolve_mod(flat(A, i), flat(B, j), p)
+                    acc[i + j] += c[:m * width].reshape(m, width)
+    return ctx._fold(acc)

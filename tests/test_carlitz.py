@@ -32,15 +32,19 @@ def compose(m, n):
     """rho_a o rho_b for the maps m = rho_a and n = rho_b, which equals
     rho_(ab)."""
     ctx = m.a.ctx
-    q = ctx.q
     out = [Poly.zero(ctx) for _ in range(len(m.coeffs) + len(n.coeffs) - 1)]
+    powered = list(n.coeffs)  # each coefficient of n raised to q^i
     for i, li in enumerate(m.coeffs):
+        if i:
+            # q = p^r, so the q-th power is r Frobenius steps
+            for _ in range(ctx.r):
+                powered = [c._frobenius() for c in powered]
         if li.is_zero():
             continue
-        for j, mj in enumerate(n.coeffs):
+        for j, mj in enumerate(powered):
             if mj.is_zero():
                 continue
-            out[i + j] = out[i + j] + li * (mj ** (q ** i))
+            out[i + j] = out[i + j] + li * mj
     return CarlitzMap(m.a * n.a, out)
 
 

@@ -10,6 +10,7 @@ from drinfeldforms.errors import (
 )
 from drinfeldforms.fieldpoly import Poly, RatFunc, make_field, special_modulus
 from drinfeldforms.forms import (
+    GENERATOR_NAMES,
     FormExpr,
     FormSpec,
     basis,
@@ -21,6 +22,7 @@ from drinfeldforms.forms import (
     build_ET,
     build_g1,
     build_h,
+    clear_form_cache,
     expand,
     get_form,
     space_dim,
@@ -358,6 +360,47 @@ def test_expand_precision_backpropagation():
     t = expand(FormExpr.parse(F3, "h*Delta_T^-3"), 12)
     assert s.val == 1 - 3 * (F3.q - 1)
     assert t.agrees_with(s)
+
+
+@st.composite
+def form_expr(draw, ctx):
+    """A sum of one to three monomials in one or two of the six generators,
+    exponents in {-1, 1, 2}, each scaled by a nonzero constant or by T."""
+    terms = []
+    for _ in range(draw(st.integers(1, 3))):
+        names = draw(st.lists(st.sampled_from(GENERATOR_NAMES), min_size=1,
+                              max_size=2, unique=True))
+        mono = tuple((n, draw(st.sampled_from((-1, 1, 2)))) for n in names)
+        coef = draw(st.one_of(st.integers(1, ctx.p - 1).map(
+            lambda c: RatFunc.constant(ctx, c)), st.just(RatFunc(Poly.T(ctx)))))
+        terms.append((coef, mono))
+    return FormExpr(ctx, terms)
+
+
+# precisions P for the random expressions; the builds at 2P stay small
+EXPR_PREC = {3: (4, 16), 5: (6, 16), 9: (10, 20)}
+
+
+@pytest.mark.parametrize("ctx", FIELDS, ids=lambda c: f"q{c.q}")
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_expand_random_exprs_precision_and_ring_laws(ctx, data):
+    # the window contract of expand on random expressions: each expansion
+    # runs from an empty cache, and the one to P equals the one to 2P cut
+    # down to P
+    exprs = [data.draw(form_expr(ctx), label=f"expr{i}") for i in range(3)]
+    prec = data.draw(st.integers(*EXPR_PREC[ctx.q]), label="prec")
+    clear_form_cache()
+    hi = expand(exprs[0], 2 * prec).truncate(prec)
+    clear_form_cache()
+    lo = expand(exprs[0], prec)
+    assert lo.prec == hi.prec == prec
+    assert lo == hi if not lo.is_zero() else hi.is_zero()
+    # ring laws on the expansions, on their common window
+    x, y, z = [expand(e, prec) for e in exprs]
+    assert ((x * y) * z).agrees_with(x * (y * z))
+    assert (x * (y + z)).agrees_with(x * y + x * z)
+    assert expand(exprs[0] * exprs[1], prec).agrees_with(x * y)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import json
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -89,6 +90,23 @@ def dict_product(f, g):
                    support_class=sc)
 
 
+def assert_canonical_block(s):
+    """The storage contract: one read-only int64 block, coordinate x row x
+    power of T, with entries in [0, p), every row and the last T-column
+    nonzero, row i at the exponent exps[i], ascending from val and below
+    prec; the zero series has an empty block."""
+    b, e = s.block, s.exps
+    assert b.dtype == e.dtype == np.int64
+    assert b.ndim == 3 and b.shape[:2] == (s.ctx.r, e.size)
+    assert not b.flags.writeable and not e.flags.writeable
+    assert ((0 <= b) & (b < s.ctx.p)).all()
+    if s.is_zero():
+        assert b.size == 0
+    else:
+        assert b.any(axis=(0, 2)).all() and b[:, :, -1].any()
+        assert e[0] == s.val and e[-1] < s.prec and (np.diff(e) > 0).all()
+
+
 def assert_same_series(got, want):
     assert got.den == want.den
     assert got.coeffs == want.coeffs
@@ -96,6 +114,8 @@ def assert_same_series(got, want):
     assert got.prec == want.prec
     assert got.support_class == want.support_class
     assert all(type(e) is int for e in got.coeffs)
+    assert_canonical_block(got)
+    assert got == want and hash(got) == hash(want)
 
 
 @st.composite
@@ -141,9 +161,11 @@ def series_pair(draw):
 @given(series_pair())
 def test_product_matches_dict_oracle(pair):
     # q in {3, 5, 9}: Laurent windows, support classes (stride q - 1 > 1),
-    # pair counts on both sides of the dense threshold, r = 2 at q = 9
+    # products of one term pair and up, r = 2 at q = 9
     f, g = pair
-    assert_same_series(f * g, dict_product(f, g))
+    got = f * g
+    assert_same_series(got, dict_product(f, g))
+    assert_lowest_terms(got)
 
 
 def test_product_threshold_sides():
@@ -152,10 +174,8 @@ def test_product_threshold_sides():
     T = RatFunc(Poly.T(F9))
     w = RatFunc.constant(F9, F9.element((0, 1)))
     f = USeries(F9, {-1: one, 0: w * T, 1: T * T}, 12)       # 3 terms
-    for n, dense in ((2, False), (3, True)):
+    for n in (2, 3):
         g = USeries(F9, {2 * i: w ** (i + 1) + T ** i for i in range(n)}, 12)
-        assert (len(f.coeffs) * len(g.coeffs)
-                >= useries._DENSE_MIN_PAIRS) is dense
         assert_same_series(f * g, dict_product(f, g))
     f = rand_series(F5, rng, val=-2, prec=20)
     assert_same_series(f * f, dict_product(f, f))
@@ -301,6 +321,9 @@ def assert_lowest_terms(s):
         g = g.gcd(n)
     assert g.is_one()
     assert s.integral == s.den.is_one()
+    assert_canonical_block(s)
+    assert hash(s) == hash(USeries(s.ctx, dict(s.terms()), s.prec,
+                                   val=s.val, support_class=s.support_class))
 
 
 @st.composite
@@ -685,7 +708,9 @@ def test_substitute_matches_term_oracle(case):
         want = window(substitute_oracle(f), out_prec)
     else:
         want = substitute_oracle(f, out_prec)
-    assert_same_series(f.substitute_Tz(out_prec), want)
+    got = f.substitute_Tz(out_prec)
+    assert_same_series(got, want)
+    assert_lowest_terms(got)
 
 
 def test_substitute_output_precision_capped():
