@@ -79,7 +79,8 @@ def _smallest_irreducible(p, r):
     term is the most significant position.  For r > 1 a zero constant term
     makes the candidate a multiple of T, so the search starts at 1.  Each
     candidate f runs Rabin's test: T^(p^r) = T mod f, and T^(p^(r/t)) - T
-    is prime to f for every prime t dividing r.
+    is prime to f for every prime t dividing r.  Mod f, T^(p^(i+1)) is the
+    matrix with columns T^(p j), j < r, times the vector of T^(p^i).
     """
     if r == 1:
         return (0, 1)
@@ -88,11 +89,19 @@ def _smallest_irreducible(p, r):
     factors = _prime_factors(r)
     for tail in itertools.product(range(1, p), *[range(p)] * (r - 1)):
         f = Poly.from_coeffs(fp, tail + (1,))
-        frob = [T]  # frob[i] = T^(p^i) mod f
+        tp, sq, n = Poly.one(fp), T, p  # T^p mod f by square-and-multiply
+        while n:
+            tp, sq, n = (tp * sq % f if n & 1 else tp), sq * sq % f, n >> 1
+        frob_matrix, col = np.zeros((r, r), dtype=np.int64), Poly.one(fp)
+        for j in range(r):
+            frob_matrix[:col.arr.shape[1], j] = col.arr[0]
+            col = col * tp % f
+        frob = [np.eye(r, dtype=np.int64)[1]]  # T^(p^i) mod f, as vectors
         for _ in range(r):
-            frob.append(frob[-1]._frobenius() % f)
-        if frob[r] == T and all((frob[r // t] - T).gcd(f).degree == 0
-                                for t in factors):
+            frob.append(frob_matrix @ frob[-1] % p)
+        if (np.array_equal(frob[r], frob[0])
+                and all((Poly(fp, frob[r // t][None]) - T).gcd(f).degree == 0
+                        for t in factors)):
             return tail + (1,)
     raise AssertionError("no irreducible polynomial found")  # unreachable
 
@@ -175,36 +184,29 @@ class FieldCtx:
         return self._fold(np.convolve(a, b))
 
     def _build_tables(self):
-        q = self.q
-        order = q - 1
-        factors = _prime_factors(order)
-
-        def code_mul(a, b):
-            return self._encode(self._mul_coords(self._decode(a),
-                                                 self._decode(b)))
-
-        def code_pow(a, e):
-            acc, base = 1, a
-            while e:
-                if e & 1:
-                    acc = code_mul(acc, base)
-                base = code_mul(base, base)
-                e >>= 1
-            return acc
-
-        gen = None
-        for cand in range(2, q):
-            if all(code_pow(cand, order // t) != 1 for t in factors):
-                gen = cand
+        """exp/log tables of the smallest generator g of GF(q)^*, r > 1, from
+        the matrix M of multiplication by g: powers n .. 2n - 1 of g are M^n
+        times powers 0 .. n - 1, and g generates when only g^0 equals 1.
+        Codes below p lie in F_p^*, of order dividing p - 1: skipped."""
+        p, r, order = self.p, self.r, self.q - 1
+        unit = np.eye(r, dtype=np.int64)
+        for gen in range(p, self.q):
+            mul = np.array([self._mul_coords(self._decode(gen), w)
+                            for w in unit]).T
+            pw = np.zeros((r, order), dtype=np.int64)
+            pw[0, 0] = 1
+            n = 1
+            while n < order:
+                # r p^2 < 2^25 within the table limit: exact in int64
+                k = min(n, order - n)
+                pw[:, n:n + k] = mul @ pw[:, :k] % p
+                mul, n = mul @ mul % p, n + k
+            exp = np.array(self._ppow) @ pw
+            if np.count_nonzero(exp == 1) == 1:
                 break
-        assert gen is not None
-        exp = [1] * order
-        log = [0] * q
-        for i in range(1, order):
-            exp[i] = code_mul(exp[i - 1], gen)
-            log[exp[i]] = i
-        log[0] = -1
-        return exp, log
+        log = np.full(self.q, -1, dtype=np.int64)
+        log[exp] = np.arange(order)
+        return exp.tolist(), log.tolist()
 
     def _decode(self, code):
         out = np.zeros(self.r, dtype=np.int64)

@@ -4,7 +4,9 @@ small expression language over the generators.
 Generators and their u-expansions:
 
 * E        weight 2, type 1: the false Eisenstein series
-           sum over monic a of a * u(az); not modular on its own.
+           sum over monic a of a * u(az); not modular on its own.  Built
+           as the logarithmic derivative Theta(Delta_T) / Delta_T with
+           Theta = -u^2 d/du (Gekeler, Invent. Math. 93, 1988).
 * E_T      weight 2, type 1: E(z) - T E(Tz), modular of level T.
 * g1       weight q-1, type 0: normalized Eisenstein series, built from the
            period-free identity g1 = 1 - (T^q - T) * sum over monic a of
@@ -65,17 +67,20 @@ def generator_valuation(ctx, name):
 
 
 def build_E(ctx, prec):
-    """The false Eisenstein series, sum over monic a of a * u(az)."""
+    """The false Eisenstein series, sum over monic a of a * u(az), as
+    Theta(Delta_T) / Delta_T; Delta_T to prec + q - 2 leaves the quotient
+    valuation 1 and precision prec."""
     if prec < 2:
         raise ValueError("prec must be at least 2")
-    return monic_series_sum(ctx, lambda a: a, 1, prec)
+    dt = get_form(ctx, "Delta_T", prec + ctx.q - 2)
+    return (dt.theta() * dt.inverse()).truncate(prec)
 
 
 def build_ET(ctx, prec):
     """E(z) - T E(Tz), the modular combination of level T."""
     if prec < ctx.q + 1:
         raise ValueError("prec must be at least q + 1")
-    e = build_E(ctx, prec)
+    e = get_form(ctx, "E", prec)
     return e - e.substitute_Tz(out_prec=prec) * Poly.T(ctx)
 
 
@@ -132,7 +137,7 @@ def build_DeltaW(ctx, prec):
 def build_h(ctx, prec):
     """The cusp form of weight q+1 and type 1, -Delta_W * E_T."""
     inner = max(prec, ctx.q * (ctx.q - 1) + 1)
-    out = -(build_DeltaW(ctx, inner) * build_ET(ctx, inner))
+    out = -(build_DeltaW(ctx, inner) * get_form(ctx, "E_T", inner))
     return out.truncate(prec)
 
 

@@ -13,6 +13,7 @@ Precision transfer follows the window semantics exactly:
 * mul            -> min(val_f + prec_g, val_g + prec_f)
 * inverse        -> the relative precision prec - val is preserved
 * substitute_Tz  -> q * prec
+* theta          -> prec + 1 (and val + 1)
 
 The substitution u -> u(Tz) = u^q / (1 + T u^(q-1)) is one map on
 coefficients, u^e -> sum_k C(-e, k) T^k u^(qe + (q-1)k), with the binomial
@@ -440,6 +441,17 @@ class USeries:
                              _frobenius_array(ctx, self.block),
                              self.den._frobenius(), p * v,
                              p * v + self.prec - v, sc, sums=False)
+
+    def theta(self):
+        """Theta = -u^2 d/du, exact in characteristic p: sum c_e u^e maps to
+        sum -e c_e u^(e+1), so terms with p | e vanish."""
+        ctx = self.ctx
+        sc = self.support_class
+        if sc is not None:
+            sc = (sc + 1) % (ctx.q - 1)
+        block = self.block * (-self.exps % ctx.p)[None, :, None] % ctx.p
+        return USeries._make(ctx, self.exps + 1, block, self.den,
+                             self.val + 1, self.prec + 1, sc)
 
     # -- substitution u -> u(Tz) ------------------------------------------
     def substitute_Tz(self, out_prec=None):

@@ -70,6 +70,59 @@ def test_make_field_f25_modulus():
     assert F25.modulus == brute_smallest_irreducible_deg2(5)
 
 
+def test_smallest_irreducible_quadratic_large_prime():
+    # 1021 = 1 mod 12, so neither T^2 + 1 nor T^2 + T + 1 is irreducible
+    assert (fieldpoly._smallest_irreducible(1021, 2)
+            == brute_smallest_irreducible_deg2(1021))
+
+
+def tables_oracle(ctx):
+    """exp/log tables one pure-Python product at a time: the smallest
+    generator by square-and-multiply on codes, then g^i = g^(i-1) * g."""
+    q = ctx.q
+    order = q - 1
+
+    def code_mul(a, b):
+        return ctx._encode(ctx._mul_coords(ctx._decode(a), ctx._decode(b)))
+
+    def code_pow(a, e):
+        acc, base = 1, a
+        while e:
+            if e & 1:
+                acc = code_mul(acc, base)
+            base = code_mul(base, base)
+            e >>= 1
+        return acc
+
+    gen = next(c for c in range(2, q)
+               if all(code_pow(c, order // t) != 1
+                      for t in fieldpoly._prime_factors(order)))
+    exp = [1] * order
+    log = [0] * q
+    for i in range(1, order):
+        exp[i] = code_mul(exp[i - 1], gen)
+        log[exp[i]] = i
+    log[0] = -1
+    return exp, log
+
+
+@pytest.mark.parametrize("p,r", ((3, 2), (5, 2), (3, 3), (7, 2), (3, 6),
+                                 (3, 8)))
+def test_field_tables_match_oracle(p, r):
+    ctx = make_field(p, r)
+    assert (ctx._exp, ctx._log) == tables_oracle(ctx)
+    assert all(type(c) is int for c in ctx._exp[:3] + ctx._log[:3])
+
+
+def test_make_field_3_12_is_fast():
+    # 531441 elements; one pure-Python product per entry took about 24 s
+    start = time.perf_counter()
+    ctx = make_field(3, 12)
+    assert time.perf_counter() - start < 5
+    a = ctx.element([1] + [2] * 11)
+    assert a * a.inverse() == ctx.one()
+
+
 def test_make_field_rejects_bad_input():
     with pytest.raises(NotOddPrime):
         make_field(2, 3)

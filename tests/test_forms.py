@@ -127,6 +127,9 @@ def g1_oracle(ctx, prec):
 def assert_same_series(f, g):
     assert (f.val, f.prec, f.den, f.coeffs, f.support_class) == (
         g.val, g.prec, g.den, g.coeffs, g.support_class)
+    assert f.exps.tolist() == g.exps.tolist()
+    assert f.block.shape == g.block.shape
+    assert f.block.tolist() == g.block.tolist()
 
 
 @pytest.mark.parametrize("ctx,prec", ((F3, 320), (F5, 160), (F9, 110)),
@@ -135,6 +138,56 @@ def test_g1_matches_per_monic_oracle(ctx, prec):
     # the full window; at q = 3, prec 320 the lattice sum runs over
     # degrees 0 .. 2 and the oracle over degrees 0 .. 4
     assert_same_series(build_g1(ctx, prec), g1_oracle(ctx, prec))
+
+
+def E_oracle(ctx, prec):
+    """E = sum of a * u(az) over every monic a: one series inverse per
+    monic, against one inverse of Delta_T in ``build_E``."""
+    if prec < 2:
+        raise ValueError("prec must be at least 2")
+    return monic_series_sum(ctx, lambda a: a, 1, prec)
+
+
+# every precision from the lowest up to a cap, and one deep precision
+E_PRECS = {3: (90, 320), 5: (60, 200), 9: (40, 120)}
+
+
+@pytest.mark.parametrize("ctx", FIELDS, ids=lambda c: f"q{c.q}")
+def test_E_and_ET_match_per_monic_oracle(ctx):
+    # E as Theta(Delta_T) / Delta_T and E_T = E - T E(Tz) against the
+    # per-monic sum, on the full window: each build runs once from an
+    # empty cache and once with Delta_T cached deeper than it needs
+    q = ctx.q
+    top, deep = E_PRECS[q]
+    T = Poly.T(ctx)
+    for prec in [*range(2, top + 1), deep]:
+        e = E_oracle(ctx, prec)
+        et = e - e.substitute_Tz(out_prec=prec) * T
+        for warm in (False, True):
+            clear_form_cache()
+            if warm:
+                get_form(ctx, "Delta_T", prec + 2 * q)
+            assert_same_series(build_E(ctx, prec), e)
+            if prec >= q + 1:
+                clear_form_cache()
+                if warm:
+                    get_form(ctx, "Delta_T", prec + 2 * q)
+                assert_same_series(build_ET(ctx, prec), et)
+    clear_form_cache()
+
+
+@pytest.mark.parametrize("ctx", FIELDS, ids=lambda c: f"q{c.q}")
+def test_ET_is_E_minus_log_derivative_of_DeltaW(ctx):
+    # T E(Tz) = Theta(Delta_W) / Delta_W, with E from the per-monic sum:
+    # an E_T route that shares no step with build_ET
+    q = ctx.q
+    prec = 3 * q * (q - 1)
+    dw = build_DeltaW(ctx, prec)
+    e = E_oracle(ctx, prec)
+    tet = dw.theta() * dw.inverse()
+    assert tet.prec >= prec
+    assert tet.agrees_with(e.substitute_Tz(out_prec=prec) * Poly.T(ctx))
+    assert build_ET(ctx, prec) == (e - tet).truncate(prec)
 
 
 # the lowest precision each builder accepts, and a cap on P for the

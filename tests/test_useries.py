@@ -722,6 +722,46 @@ def test_substitute_output_precision_capped():
 
 
 # ---------------------------------------------------------------------------
+# the derivation Theta = -u^2 d/du
+
+
+def theta_oracle(f):
+    """Theta term by term over F_q(T): c u^e -> -e c u^(e+1)."""
+    sc = f.support_class
+    return USeries(f.ctx, {e + 1: c * (-e) for e, c in f.terms()},
+                   f.prec + 1, val=f.val + 1,
+                   support_class=None if sc is None else sc + 1)
+
+
+@pytest.mark.parametrize("ctx", (F3, F5, F9), ids=lambda c: f"q{c.q}")
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_theta_is_a_derivation(ctx, data):
+    # Laurent, non-integral and support-class series; Theta is F_q(T)-
+    # linear, obeys Leibniz and kills the terms u^e with p | e
+    f, g = data.draw(laurent_series(ctx, 2))
+    a, b = (data.draw(scalar(ctx, data.draw(st.sampled_from(
+        ("one", "constant", "poly", "fraction"))))) for _ in range(2))
+    tf = f.theta()
+    assert_same_series(tf, theta_oracle(f))
+    assert_lowest_terms(tf)
+    assert tf.prec == f.prec + 1 and tf._eff_val() >= f.val + 1
+    if f.support_class is not None:
+        assert tf.support_class == (f.support_class + 1) % (ctx.q - 1)
+    assert all(e % ctx.p for e in (tf.exps - 1).tolist())
+    assert (f * g).theta().agrees_with(tf * g + f * g.theta())
+    assert (f * a + g * b).theta().agrees_with(tf * a + g.theta() * b)
+
+
+def test_theta_of_pth_powers_vanishes():
+    # Theta(f^p) = p f^(p-1) Theta(f) = 0, while the window moves up by one
+    for ctx in (F3, F5, F9):
+        f = rand_series(ctx, random.Random(ctx.q))
+        z = (f ** ctx.p).theta()
+        assert z.is_zero() and z.prec == (f ** ctx.p).prec + 1
+
+
+# ---------------------------------------------------------------------------
 # precision soundness, support classes, integrality
 
 
