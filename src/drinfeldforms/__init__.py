@@ -38,6 +38,7 @@ from .errors import (
     NonIntegralCoefficient,
     NotMonic,
     NotOddPrime,
+    NotUnitriangular,
     PrecisionExceeded,
     ZeroInput,
     ZeroSeries,

@@ -45,6 +45,10 @@ class DivisionNotExact(DrinfeldError):
     """An exact division left a remainder; this signals an internal bug."""
 
 
+class NotUnitriangular(DrinfeldError):
+    """A matrix proved unitriangular is not; this signals an internal bug."""
+
+
 class NonIntegralCoefficient(DrinfeldError):
     """A coefficient expected to lie in F_q[T] has a nontrivial denominator."""
 

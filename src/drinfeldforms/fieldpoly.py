@@ -185,25 +185,34 @@ class FieldCtx:
 
     def _build_tables(self):
         """exp/log tables of the smallest generator g of GF(q)^*, r > 1, from
-        the matrix M of multiplication by g: powers n .. 2n - 1 of g are M^n
-        times powers 0 .. n - 1, and g generates when only g^0 equals 1.
-        Codes below p lie in F_p^*, of order dividing p - 1: skipped."""
+        the matrix M of multiplication by g: g generates when no M^((q-1)/t),
+        t a prime dividing q - 1, is 1; powers n .. 2n - 1 of g are M^n times
+        powers 0 .. n - 1.  Codes below p lie in F_p^*: skipped."""
         p, r, order = self.p, self.r, self.q - 1
         unit = np.eye(r, dtype=np.int64)
+        factors = _prime_factors(order)
+
+        def power_is_one(mul, n):  # square-and-multiply
+            acc = unit
+            while n:
+                acc = acc @ mul % p if n & 1 else acc
+                mul, n = mul @ mul % p, n >> 1
+            return np.array_equal(acc, unit)
+
         for gen in range(p, self.q):
             mul = np.array([self._mul_coords(self._decode(gen), w)
                             for w in unit]).T
-            pw = np.zeros((r, order), dtype=np.int64)
-            pw[0, 0] = 1
-            n = 1
-            while n < order:
-                # r p^2 < 2^25 within the table limit: exact in int64
-                k = min(n, order - n)
-                pw[:, n:n + k] = mul @ pw[:, :k] % p
-                mul, n = mul @ mul % p, n + k
-            exp = np.array(self._ppow) @ pw
-            if np.count_nonzero(exp == 1) == 1:
+            if not any(power_is_one(mul, order // t) for t in factors):
                 break
+        pw = np.zeros((r, order), dtype=np.int64)
+        pw[0, 0] = 1
+        n = 1
+        while n < order:
+            # r p^2 < 2^25 within the table limit: exact in int64
+            k = min(n, order - n)
+            pw[:, n:n + k] = mul @ pw[:, :k] % p
+            mul, n = mul @ mul % p, n + k
+        exp = np.array(self._ppow) @ pw
         log = np.full(self.q, -1, dtype=np.int64)
         log[exp] = np.arange(order)
         return exp.tolist(), log.tolist()
@@ -706,10 +715,10 @@ class Poly:
         if self.is_zero():
             return "0"
         parts = []
-        for j in range(self.arr.shape[1] - 1, -1, -1):
-            c = self.coeff(j)
-            if c.is_zero():
+        for j, col in reversed(list(enumerate(self.arr.T.tolist()))):
+            if not any(col):
                 continue
+            c = self.ctx.element(col)
             if j == 0:
                 s = str(c)
                 if "+" in s:

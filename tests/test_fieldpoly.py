@@ -1,3 +1,4 @@
+import hashlib
 import random
 import time
 
@@ -112,6 +113,18 @@ def test_field_tables_match_oracle(p, r):
     ctx = make_field(p, r)
     assert (ctx._exp, ctx._log) == tables_oracle(ctx)
     assert all(type(c) is int for c in ctx._exp[:3] + ctx._log[:3])
+
+
+@pytest.mark.parametrize("p,r,digest", (
+    (3, 10, "1064a6c49e46d8457c8b32dbe4bdb81b23bd23f6d6e02d839adb2f371b7cea61"),
+    (7, 7, "fd923a0eef5db0be5e845e016deb3b0e05a5863cb8c758743949e057e7da876b"),
+))
+def test_field_tables_pinned(p, r, digest):
+    # sha256 of repr(_exp) from the table loop that doubled out the whole
+    # table of every candidate generator; too large for tables_oracle
+    ctx = make_field(p, r)
+    assert hashlib.sha256(repr(ctx._exp).encode()).hexdigest() == digest
+    assert all(ctx._log[e] == i for i, e in enumerate(ctx._exp))
 
 
 def test_make_field_3_12_is_fast():
@@ -618,6 +631,56 @@ def test_rref_matches_field_oracle(m):
     kern = left_kernel(m)
     if kern:
         assert Matrix(m.ctx, kern).rref()[0].entries == tuple(map(tuple, kern))
+
+
+def poly_str_oracle(f):
+    """Poly rendering one column at a time, a field element per column."""
+    if f.is_zero():
+        return "0"
+    parts = []
+    for j in range(f.arr.shape[1] - 1, -1, -1):
+        c = f.coeff(j)
+        if c.is_zero():
+            continue
+        if j == 0:
+            s = str(c)
+            if "+" in s:
+                s = f"({s})"
+            parts.append(s)
+        else:
+            tp = "T" if j == 1 else f"T^{j}"
+            if c.is_one():
+                parts.append(tp)
+            elif c.in_prime_field():
+                parts.append(f"{c.code}*{tp}")
+            else:
+                parts.append(f"({c})*{tp}")
+    return " + ".join(parts)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_poly_render_matches_oracle(data):
+    ctx = data.draw(st.sampled_from(FIELDS))
+    f = data.draw(poly_st(ctx, 12))
+    assert str(f) == poly_str_oracle(f)
+
+
+@pytest.mark.parametrize("ctx", FIELDS, ids=lambda c: f"q{c.q}")
+def test_poly_render_every_coefficient(ctx):
+    # zero, every constant, and every element at T and T^3
+    assert str(Poly.zero(ctx)) == poly_str_oracle(Poly.zero(ctx)) == "0"
+    for code in range(ctx.q):
+        c = fieldpoly.FqElem(ctx, code)
+        for f in (Poly.constant(ctx, c), Poly.from_pairs(ctx, [(1, c)]),
+                  Poly.from_pairs(ctx, [(3, c), (0, c)])):
+            assert str(f) == poly_str_oracle(f)
+    if ctx is F9:
+        w = F9.element([0, 1])
+        assert str(Poly.constant(F9, w + 1)) == "(w+1)"
+        assert str(Poly.constant(F9, 2 * w)) == "2*w"
+        assert str(Poly.from_pairs(F9, [(1, 2 * w + 2), (0, w + 2)])) == (
+            "(2*w+2)*T + (w+2)")
 
 
 def test_poly_parse_rejects_non_polynomial():

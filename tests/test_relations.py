@@ -1,9 +1,12 @@
 import pytest
 
-from drinfeldforms.errors import BadWeight, EmptySpace
+from drinfeldforms import relations
+from drinfeldforms.errors import BadWeight, EmptySpace, NotUnitriangular
 from drinfeldforms.fieldpoly import Matrix, Poly, RatFunc, make_field
 from drinfeldforms.forms import FormExpr, basis_series, expand, space_dim
 from drinfeldforms.relations import (
+    BMatrix,
+    RelationVector,
     compute_b_vector,
     dual_coeff,
     kernel_oracle,
@@ -148,6 +151,105 @@ def test_relations_small_sweep(ctx):
         assert rep["report"]["kernel_dim"] == rep["N"] + 1, rep
         assert rep["report"]["spans_equal"] is True, rep
         assert rep["report"]["annihilates"] is True, rep
+
+
+# ---------------------------------------------------------------------------
+# the kernel by back-substitution
+
+
+def spaces(ctx, r_max=5):
+    for l in range(ctx.q - 1):
+        for r in range(r_max + 1):
+            k = r * (ctx.q - 1) + 2 * l
+            if k >= 1:
+                yield r, k, l
+
+
+@pytest.mark.parametrize("ctx", (F3, F5, F9), ids=lambda c: f"q{c.q}")
+def test_back_substitution_kernel_matches_oracle(ctx):
+    for r, k, l in spaces(ctx):
+        for N in range(4):
+            dual = relations._dual_matrix(ctx, k, l, N)
+            kern = relations._kernel_by_back_substitution(dual, r)
+            assert len(kern) == N + 1
+            for j, v in enumerate(kern):
+                # the identity on the last N + 1 coordinates
+                assert v[r + 1:] == [RatFunc.constant(ctx, int(i == j))
+                                     for i in range(N + 1)]
+            red = Matrix(ctx, kern).rref()[0]
+            assert red.entries == tuple(map(tuple, kernel_oracle(ctx, k, l,
+                                                                 N)))
+
+
+def _perturbed_phi(monkeypatch, bump):
+    real_phi = relations.phi
+
+    def fake_phi(ctx, k, l, N, prec=None):
+        bm = real_phi(ctx, k, l, N, prec)
+        rows = list(bm.rows)
+        rows[-1] = RelationVector(bm.spec, N, bump(ctx, rows[-1].c))
+        return BMatrix(bm.spec, N, bm.labels, tuple(rows))
+
+    monkeypatch.setattr(relations, "phi", fake_phi)
+
+
+@pytest.mark.parametrize("ctx,k,l,N", ((F3, 4, 1, 1), (F5, 6, 1, 2),
+                                       (F9, 18, 1, 1)),
+                         ids=("q3", "q5", "q9"))
+def test_report_when_a_phi_row_leaves_the_kernel(ctx, k, l, N, monkeypatch):
+    # one phi row moved off the kernel: both routes must say so, and the
+    # printed kernel comes from the kernel's own echelon form
+    _perturbed_phi(monkeypatch,
+                   lambda ctx, c: (c[0] + Poly.T(ctx),) + c[1:])
+    rep = relation_report(ctx, k, l, N)
+    assert rep["report"]["spans_equal"] is False
+    assert rep["report"]["annihilates"] is False
+    assert rep["report"]["kernel_dim"] == N + 1
+    assert rep["kernel"] == [[str(x) for x in v]
+                             for v in kernel_oracle(ctx, k, l, N)]
+
+
+def test_report_when_phi_loses_rank(monkeypatch):
+    # a zero phi row still annihilates, but spans no longer agree
+    _perturbed_phi(monkeypatch,
+                   lambda ctx, c: (RatFunc.constant(ctx, 0),) * len(c))
+    rep = relation_report(F5, 6, 1, 2)
+    assert rep["report"]["phi_rank"] == 2
+    assert rep["report"]["spans_equal"] is False
+    assert rep["report"]["annihilates"] is True
+    assert rep["kernel"] == [[str(x) for x in v]
+                             for v in kernel_oracle(F5, 6, 1, 2)]
+
+
+@pytest.mark.parametrize("i,c,value", ((1, 1, 2), (0, 1, 1), (1, 0, "1/T")),
+                         ids=("diagonal", "above", "non-integral"))
+def test_non_unitriangular_dual_raises(i, c, value, monkeypatch):
+    dual = relations._dual_matrix(F3, 4, 1, 1)
+    entries = [list(row) for row in dual.entries]
+    entries[i][c] = (RatFunc(Poly.one(F3), Poly.T(F3)) if value == "1/T"
+                     else RatFunc.constant(F3, value))
+    bad = Matrix(F3, entries)
+    with pytest.raises(NotUnitriangular):
+        relations._kernel_by_back_substitution(bad, 1)
+    # relation_report raises too, with no fallback to elimination
+    monkeypatch.setattr(relations, "_dual_matrix", lambda *args: bad)
+    with pytest.raises(NotUnitriangular):
+        relation_report(F3, 4, 1, 1)
+
+
+@pytest.mark.parametrize("ctx", (F3, F5, F9), ids=lambda c: f"q{c.q}")
+def test_successful_report_runs_one_rref(ctx, monkeypatch):
+    calls = []
+    real_rref = Matrix.rref
+
+    def counted(self):
+        calls.append(self.rows)
+        return real_rref(self)
+
+    monkeypatch.setattr(Matrix, "rref", counted)
+    rep = relation_report(ctx, 3 * (ctx.q - 1) + 2, 1, 2)
+    assert rep["report"]["spans_equal"] is True
+    assert calls == [3]
 
 
 # ---------------------------------------------------------------------------

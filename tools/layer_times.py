@@ -1,9 +1,9 @@
-"""Layer-by-layer build times at growing precision, written as JSON.
+"""Layer-by-layer times, written as JSON.
 
-    PYTHONPATH=src python3 tools/layer_times.py OUT.json
+    PYTHONPATH=src python3 tools/layer_times.py OUT.json [--parent OLD.json]
 
-For q in {3, 5, 9} and P in {80, 160, 320, 640} it times, from an empty
-form cache:
+Generator builds, for q in {3, 5, 9} and P in {80, 160, 320, 640}, each
+from an empty form cache:
 
 * ``E_monic_sum``: E as the sum of a * u(az) over every monic a, the
   route that the tests keep as an oracle;
@@ -12,9 +12,16 @@ form cache:
 * ``E_T``: ``build_ET``, including the build of E;
 * ``h``: ``build_h``, including the builds of Delta_W and E_T.
 
+Linear algebra: ``relation_report`` for q in {3, 5, 9}, type l = 1,
+r in {1, 3, 5} and N = 3, from a warm form cache (one untimed report
+first), so that the kernel, rank and span checks dominate.
+
 Each time is the median of three runs in one process.  The JSON
 records the host (platform, CPU count, Python and numpy versions) next to
-the times, so that figures from different machines are not mixed.
+the times, so that figures from different machines are not mixed.  With
+``--parent`` the results of an earlier output of this tool, for example
+one run with ``PYTHONPATH`` on an older tree, are kept under "parent", so
+that one record holds both sets of figures from the same machine.
 """
 
 from __future__ import annotations
@@ -32,9 +39,12 @@ import numpy as np
 from drinfeldforms import forms
 from drinfeldforms.carlitz import monic_series_sum
 from drinfeldforms.fieldpoly import make_field
+from drinfeldforms.relations import relation_report
 
 FIELDS = {3: (3, 1), 5: (5, 1), 9: (3, 2)}
 PRECS = (80, 160, 320, 640)
+RELATION_R = (1, 3, 5)
+RELATION_L, RELATION_N = 1, 3
 RUNS = 3
 
 ROUTES = {
@@ -46,16 +56,36 @@ ROUTES = {
 }
 
 
-def timed(build, ctx, prec):
-    """Median wall time of RUNS builds, each from an empty cache."""
+def timed(build, ctx, prec, warm=False):
+    """Median wall time of RUNS builds, each from an empty cache, or all
+    from the cache one untimed build leaves when ``warm``."""
     times = []
+    forms.clear_form_cache()
+    if warm:
+        build(ctx, prec)
     for _ in range(RUNS):
-        forms.clear_form_cache()
+        if not warm:
+            forms.clear_form_cache()
         start = time.perf_counter()
         build(ctx, prec)
         times.append(time.perf_counter() - start)
     forms.clear_form_cache()
     return statistics.median(times)
+
+
+def relation_rows():
+    rows = []
+    for q, field in FIELDS.items():
+        ctx = make_field(*field)
+        for r in RELATION_R:
+            k = r * (q - 1) + 2 * RELATION_L
+            row = {"q": q, "k": k, "l": RELATION_L, "r": r, "N": RELATION_N}
+            row["relation_report_s"] = round(timed(
+                lambda ctx, N: relation_report(ctx, k, RELATION_L, N),
+                ctx, RELATION_N, warm=True), 4)
+            print(json.dumps(row), file=sys.stderr, flush=True)
+            rows.append(row)
+    return rows
 
 
 def host():
@@ -72,6 +102,8 @@ def host():
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("out", help="path of the JSON file to write")
+    ap.add_argument("--parent", help="an earlier output of this tool, kept "
+                                     "under \"parent\"")
     args = ap.parse_args(argv)
     rows = []
     for q, field in FIELDS.items():
@@ -82,11 +114,17 @@ def main(argv=None):
                 row[f"{name}_s"] = round(timed(build, ctx, prec), 4)
             print(json.dumps(row), file=sys.stderr, flush=True)
             rows.append(row)
+    out = {"what": "median time in seconds: generator builds from an empty "
+                   "form cache, relation reports from a warm one",
+           "runs": RUNS, "host": host(), "results": rows,
+           "relations": relation_rows()}
+    if args.parent:
+        with open(args.parent) as fh:
+            old = json.load(fh)
+        out["parent"] = {key: old[key] for key in ("host", "results",
+                                                   "relations")}
     with open(args.out, "w") as fh:
-        json.dump({"what": "median build time in seconds from an empty "
-                           "form cache",
-                   "runs": RUNS, "host": host(), "results": rows},
-                  fh, indent=2)
+        json.dump(out, fh, indent=2)
         fh.write("\n")
 
 
