@@ -14,9 +14,12 @@ from __future__ import annotations
 
 import itertools
 
+import numpy as np
+
 from .errors import NotMonic, ZeroInput
-from .fieldpoly import FqElem, Poly
-from .useries import USeries
+from .fieldpoly import (FqElem, Poly, RatFunc, _as_ratfunc, _batch_product,
+                        _cleared_row)
+from .useries import USeries, _stack
 
 
 class CarlitzMap:
@@ -37,64 +40,38 @@ class CarlitzMap:
         return f"CarlitzMap({self.a}; [{body}])"
 
 
+def _rho_coeffs(ctx, coords):
+    """l_i(a), i <= d, on axis 2 for a batch of a of degree at most d given
+    by coordinates (r, batch, d + 1): sum_j a_j l_i(T^j), as rho_a is
+    F_q-linear in a; l_i(T^j) = T^(q^i) l_i(T^(j-1)) + l_(i-1)(T^(j-1))."""
+    p, q, top = ctx.p, ctx.q, coords.shape[2]
+    deg = max(q ** i * (j - i) for j in range(top) for i in range(j + 1))
+    basis = np.zeros((top, top, deg + 1), dtype=np.int64)
+    basis[0, 0, 0] = 1
+    out = coords[:, :, 0, None, None] * basis[0]
+    for j in range(1, top):
+        for i in range(j):
+            basis[j, i, q ** i:] = basis[j - 1, i, :deg + 1 - q ** i]
+        basis[j, 1:] = (basis[j, 1:] + basis[j - 1, :-1]) % p
+        out = (out + coords[:, :, j, None, None] * basis[j]) % p
+    return out
+
+
 def carlitz_map(a):
-    """Build rho_a by Horner composition: rho_(a'T + c) from rho_(a')."""
+    """Build rho_a from its coefficients l_i(a), linear in a."""
     if a.is_zero():
         raise ZeroInput("the Carlitz action of 0 is not defined here")
-    ctx = a.ctx
-    q = ctx.q
-    cs = a.coeffs()
-    d = len(cs) - 1
-    coeffs = [Poly.constant(ctx, cs[d])]
-    tq = []  # tq[i] = T^(q^i), extended on demand
-    for j in range(d - 1, -1, -1):
-        while len(tq) < len(coeffs):
-            tq.append(Poly.from_pairs(ctx, [(q ** len(tq), 1)]))
-        new = [Poly.zero(ctx) for _ in range(len(coeffs) + 1)]
-        for i, li in enumerate(coeffs):
-            # rho o rho_T: l_i X^(q^i) -> l_i T^(q^i) X^(q^i) + l_i X^(q^(i+1))
-            new[i] = new[i] + li * tq[i]
-            new[i + 1] = new[i + 1] + li
-        new[0] = new[0] + Poly.constant(ctx, cs[j])
-        coeffs = new
-    return CarlitzMap(a, coeffs)
+    ls = _rho_coeffs(a.ctx, a.arr[:, None])[:, 0]
+    return CarlitzMap(a, [Poly(a.ctx, ls[:, i]) for i in range(ls.shape[1])])
 
 
-def linear_map(a, basis):
-    """rho_a as sum_j a_j rho_(T^j), where basis[j] holds the coefficients
-    of rho_(T^j) for every j <= deg a."""
-    cs = a.coeffs()
-    return CarlitzMap(a, [
-        sum((basis[j][i] * c for j, c in enumerate(cs[i:], i)
-             if not c.is_zero()), Poly.zero(a.ctx))
-        for i in range(len(cs))])
-
-
-def _scaled_map(rho, prec):
-    """u^(q^d) rho(1/u) = sum_i l_i u^(q^d - q^i) below prec, for rho of
-    degree d; it has constant term 1 when rho is monic."""
-    ctx = rho.a.ctx
-    big = ctx.q ** (len(rho.coeffs) - 1)
-    return USeries._of(ctx, {big - ctx.q ** i: li
-                             for i, li in enumerate(rho.coeffs)
-                             if big - ctx.q ** i < prec},
-                       Poly.one(ctx), prec, support_class=0)
-
-
-def u_sub_a(a, prec, rho=None):
-    """Expansion of u(az) as a series in u, exact below ``prec``; ``rho``
-    is the CarlitzMap of a when the caller already has it.
-
-    Equals u^(q^d) / sum_i l_i(a) u^(q^d - q^i) with d = deg a; the result
-    is integral, has valuation q^d and leading coefficient 1.
-    """
+def u_sub_a(a, prec):
+    """Expansion of u(az) as a series in u, exact below ``prec``: integral,
+    of valuation q^(deg a) and with leading coefficient 1."""
     if a.is_zero() or not a.is_monic():
         raise NotMonic(f"u(az) needs monic a, got {a}")
-    big = a.ctx.q ** int(a.degree)
-    if big >= prec:
-        return USeries.zero(a.ctx, prec)
-    denom = _scaled_map(rho or carlitz_map(a), prec - big)
-    return denom.inverse().shift(big).truncate(prec)
+    return _batch_sum(a.ctx, [(a, RatFunc.constant(a.ctx, 1))]
+                      if a.ctx.q ** int(a.degree) < prec else [], 1, prec)
 
 
 def monics(ctx, deg):
@@ -108,35 +85,74 @@ def monics(ctx, deg):
             for codes in itertools.product(range(ctx.q), repeat=deg)]
 
 
-def monic_series_sum(ctx, weight, power, prec):
-    """Sum of weight(a) * u(az)^power over all monic a, exact below prec.
+def _sparse_product(ctx, x, y, rows):
+    """Product below grid row ``rows`` of two batches of series, each as
+    (ascending grid rows, block with the rows on axis 2), zero rows cut."""
+    i, j = np.nonzero(x[0][:, None] + y[0][None, :] < rows)
+    ks, to = np.unique(x[0][i] + y[0][j], return_inverse=True)
+    prod = _batch_product(ctx, x[1][:, :, i], y[1][:, :, j])
+    out = np.zeros(prod.shape[:2] + (ks.size,) + prod.shape[3:],
+                   dtype=np.int64)
+    np.add.at(out, (slice(None), slice(None), to), prod)
+    out %= ctx.p
+    keep = out.any(axis=(0, 1, 3))
+    return ks[keep], out[:, :, keep]
 
-    Monic polynomials of degree d enter only while power * q^d < prec;
-    beyond that every term lies at or above the precision window.  Each
-    rho_a is sum_j a_j rho_(T^j), from maps built once per call.
-    """
-    if power < 1:
-        raise ValueError("power must be at least 1")
-    if prec < 1:
-        raise ValueError("prec must be at least 1")
-    q = ctx.q
-    total = USeries.zero(ctx, prec)
-    basis = []  # basis[j] holds the coefficients of rho_(T^j)
-    d = 0
-    while power * q ** d < prec:
-        basis.append(carlitz_map(Poly.T(ctx) ** d).coeffs)
-        for a in monics(ctx, d):
-            w = weight(a)
-            if isinstance(w, int):
-                w = Poly.constant(ctx, w)
-            if w.is_zero():
-                continue
-            rel = prec - power * q ** d
-            ua = u_sub_a(a, q ** d + rel, linear_map(a, basis))
-            term = ua ** power if power != 1 else ua
-            total = total + term.truncate(prec) * w
-        d += 1
-    return total
+
+def monic_series_sum(ctx, weight, power, prec):
+    """Sum of weight(a) * u(az)^power over all monic a, exact below prec;
+    only the monic a with power * q^deg(a) < prec reach that window."""
+    if power < 1 or prec < 1:
+        raise ValueError("power and prec must be at least 1")
+    kept, top = [], 0  # monic a of degree below top enter
+    while power * ctx.q ** top < prec:
+        kept += [(a, w) for a in monics(ctx, top)
+                 if not (w := _as_ratfunc(ctx, weight(a))).is_zero()]
+        top += 1
+    return _batch_sum(ctx, kept, power, prec)
+
+
+def _batch_sum(ctx, kept, power, prec):
+    """Sum of w * u(az)^power over the pairs (a, w) in ``kept``, monic a in
+    ascending degree with power * q^deg(a) < prec, exact below prec.  The a
+    of one degree d form a batch: u(az)^power = u^(power q^d) / S_a, where
+    S_a = (u^(q^d) rho_a(1/u))^power has constant term 1 and a few terms on
+    the step q - 1, and 1 / S_a = sum_m g_m u^((q-1)m) by g_0 = 1, g_m =
+    -sum_k S_k g_(m-k), with deg_T g_m <= m."""
+    p, q, r = ctx.p, ctx.q, ctx.r
+    if not kept:
+        return USeries.zero(ctx, prec)
+    nums, den = _cleared_row(ctx, [w for _, w in kept])
+    grid = -(-(prec - power) // (q - 1))  # exponents power + (q-1)m
+    block = np.zeros((r, grid, grid + max(n.arr.shape[1] for n in nums)),
+                     dtype=np.int64)
+    for d in sorted({int(a.degree) for a, _ in kept}):
+        at = [i for i, (a, _) in enumerate(kept) if a.degree == d]
+        rows = -(-(prec - power * q ** d) // (q - 1))
+        ls = _rho_coeffs(ctx, np.stack([kept[i][0].arr for i in at], 1))
+        i = np.arange(d, -1, -1)  # l_i(a) on grid row (q^d - q^i)/(q - 1)
+        s = (q ** d - q ** i) // (q - 1), ls[:, :, i]
+        big = s
+        for bit in bin(power)[3:]:
+            big = _sparse_product(ctx, big, big, rows)
+            if bit == "1":
+                big = _sparse_product(ctx, big, s, rows)
+        ks, sk = big[0][1:], big[1][:, :, 1:]  # S_0 = 1 left out
+        g = np.zeros((r, len(at), rows, rows), dtype=np.int64)
+        g[0, :, 0, 0] = 1
+        for m, c in enumerate(np.searchsorted(ks, np.arange(rows),
+                                              side="right").tolist()):
+            if c:  # deg g_(m-k) <= m - k and deg S_k <= k
+                prod = _batch_product(ctx, g[:, :, m - ks[:c], :m - ks[0] + 1],
+                                      sk[:, :, :c, :ks[c - 1] + 1], m + 1)
+                g[:, :, m, :prod.shape[3]] = -prod.sum(axis=2) % p
+        g = _batch_product(ctx, g, _stack(ctx, [nums[i].arr for i in at])[
+            :, :, None]).sum(axis=1) % p
+        block[:, power * (q ** d - 1) // (q - 1):, :g.shape[2]] += g
+    # a sum that cancels keeps the valuation of its last term
+    return USeries._make(ctx, power + (q - 1) * np.arange(block.shape[1]),
+                         block % p, den, power * q ** d, prec,
+                         power % (q - 1))
 
 
 def monic_power_sum(ctx, power, prec):
@@ -169,8 +185,10 @@ def monic_power_sum(ctx, power, prec):
         top += 1
     rel = [prec - power * val(d) for d in range(top + 1)]
     # v[j] holds V_(d-1)[j] for j >= d at step d; V_0[0] = 1 is left out
-    v = [None] + [_scaled_map(carlitz_map(Poly.T(ctx) ** j), rel[j])
-                  for j in range(1, top + 1)]
+    v = [None] + [USeries._of(ctx, {
+        q ** j - q ** i: c for i, c in enumerate(carlitz_map(
+            Poly.T(ctx) ** j).coeffs) if q ** j - q ** i < rel[j]},
+        Poly.one(ctx), rel[j], support_class=0) for j in range(1, top + 1)]
     total = USeries._of(ctx, {power: Poly.one(ctx)}, Poly.one(ctx), prec,
                         support_class=power)
     lead = None  # prod over 0 < i < d of V_i[i]^(q-1)

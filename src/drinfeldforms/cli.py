@@ -264,9 +264,13 @@ def build_parser():
     return parser
 
 
+_PARSER = None  # built on the first call, then reused by every later one
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _PARSER
+    _PARSER = _PARSER or build_parser()
+    args = _PARSER.parse_args(argv)
     try:
         ctx = make_field(args.p, args.r)
         return args.func(ctx, args)

@@ -478,17 +478,12 @@ def _rows_divmod(ctx, arr, g):
 
 
 def _convolve_mod(a, b, p):
-    # exact 1-D convolution of residue vectors; int64 is safe at desk scale
+    # exact 1-D convolution of residue vectors, on Python integers once a
+    # sum of products could pass the int64 bound
     if a.size * (p - 1) * (p - 1) < (1 << 62):
         return np.convolve(a, b) % p
-    out = [0] * (a.size + b.size - 1)
-    al = [int(x) for x in a]
-    bl = [int(x) for x in b]
-    for i, ai in enumerate(al):
-        if ai:
-            for j, bj in enumerate(bl):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return np.array(out, dtype=np.int64)
+    return (np.convolve(a.astype(object), b.astype(object)) % p).astype(
+        np.int64)
 
 
 def _poly_product(ctx, a, b):
@@ -504,6 +499,32 @@ def _poly_product(ctx, a, b):
         for j in range(r):
             if b[j].any():
                 acc[i + j] += np.convolve(a[i], b[j])
+    return ctx._fold(acc)
+
+
+def _batch_product(ctx, a, b, width=None):
+    """Products of two batches of coefficient arrays, coordinate axis first,
+    T last and batch axes between that broadcast, reduced and cut below
+    T^width: one multiply-add per column of the shorter factor, on Python
+    integers past the bound of ``_convolve_mod``."""
+    p, r = ctx.p, ctx.r
+    a, b = (a, b) if a.shape[-1] >= b.shape[-1] else (b, a)
+    wa, wb = a.shape[-1], b.shape[-1]
+    width = wa + wb - 1 if width is None else min(width, wa + wb - 1)
+    exact = np.int64 if wb * (p - 1) ** 2 < 1 << 62 else object
+    # coordinate planes i of a and j of b give the multiple of w^(i+j)
+    a = a[:, None].astype(exact, copy=False)
+    b = b[None].astype(exact, copy=False)
+    out = np.zeros(np.broadcast_shapes(a.shape[:-1], b.shape[:-1])
+                   + (width,), dtype=exact)
+    for s in range(min(wb, width)):
+        out[..., s:s + wa] += a[..., :width - s] * b[..., s, None]
+    out = (out % p).astype(np.int64, copy=False)
+    if r == 1:
+        return out[0]
+    acc = np.zeros((2 * r - 1,) + out.shape[2:], dtype=np.int64)
+    for i in range(r):
+        acc[i:i + r] += out[i]
     return ctx._fold(acc)
 
 

@@ -114,13 +114,10 @@ def build_DeltaT(ctx, prec):
 def build_DeltaT_from_monic_sum(ctx, prec):
     """Independent route: sum of u(az)^(q-1) over monic a not divisible
     by T."""
-    T = Poly.T(ctx)
-    q = ctx.q
-
-    def weight(a):
-        return Poly.zero(ctx) if (a % T).is_zero() else Poly.one(ctx)
-
-    s = monic_series_sum(ctx, weight, q - 1, prec)
+    one = RatFunc.constant(ctx, 1)
+    # T divides a exactly when its constant coefficient is zero
+    s = monic_series_sum(ctx, lambda a: one if a.arr[:, 0].any() else 0,
+                         ctx.q - 1, prec)
     # an empty sum (prec <= q - 1) is still tagged with Delta_T's class
     return s if not s.is_zero() else USeries.monomial(ctx, 0, 0, prec,
                                                        support_class=0)

@@ -1,12 +1,13 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from drinfeldforms import carlitz
 from drinfeldforms.carlitz import (
     CarlitzMap,
     carlitz_map,
-    linear_map,
     monic_power_sum,
     monic_series_sum,
     monics,
@@ -14,9 +15,11 @@ from drinfeldforms.carlitz import (
 )
 from drinfeldforms.errors import NotMonic, ZeroInput
 from drinfeldforms.fieldpoly import Poly, RatFunc, make_field
+from drinfeldforms.useries import USeries
 
 F3 = make_field(3, 1)
 F5 = make_field(5, 1)
+F7 = make_field(7, 1)
 F9 = make_field(3, 2)
 
 
@@ -110,18 +113,51 @@ def test_carlitz_multiplicativity_and_additivity(ctx):
                 assert cs == ca + cb
 
 
-@pytest.mark.parametrize("ctx,top", ((F3, 3), (F5, 2), (F9, 1)),
-                         ids=("q3", "q5", "q9"))
-def test_linear_map_matches_horner(ctx, top):
-    # rho_a = sum_j a_j rho_(T^j) against the Horner composition, for every
-    # monic a up to the degree bound and for c * a with a constant c != 0, 1
+def linear_map(a, basis):
+    """Oracle: rho_a as sum_j a_j rho_(T^j), where basis[j] holds the
+    coefficients of rho_(T^j) for every j <= deg a, one Poly product per
+    term."""
+    cs = a.coeffs()
+    return CarlitzMap(a, [
+        sum((basis[j][i] * c for j, c in enumerate(cs[i:], i)
+             if not c.is_zero()), Poly.zero(a.ctx))
+        for i in range(len(cs))])
+
+
+def power_basis(ctx, top):
+    """The coefficients of rho_(T^j), j <= top, by Horner composition with
+    rho_T = T X + X^q."""
     T = Poly.T(ctx)
-    basis = [carlitz_map(T ** j).coeffs for j in range(top + 1)]
+    rho_t = CarlitzMap(T, (T, Poly.one(ctx)))
+    maps = [CarlitzMap(Poly.one(ctx), (Poly.one(ctx),))]
+    for _ in range(top):
+        maps.append(compose(maps[-1], rho_t))
+    return [m.coeffs for m in maps]
+
+
+@pytest.mark.parametrize("ctx", (F3, F5, F9), ids=lambda c: f"q{c.q}")
+def test_linear_map_matches_horner(ctx):
+    # rho_a = sum_j a_j rho_(T^j) against carlitz_map, for every monic a of
+    # degree <= 3 and for c * a with a constant c != 0, 1
+    basis = power_basis(ctx, 3)
     c = ctx.element([1] * ctx.r) + 1
-    for d in range(top + 1):
+    for d in range(4):
         for a in monics(ctx, d):
             assert linear_map(a, basis) == carlitz_map(a)
             assert linear_map(a * c, basis) == carlitz_map(a * c)
+
+
+@pytest.mark.parametrize("ctx", (F3, F5, F9), ids=lambda c: f"q{c.q}")
+def test_batched_coefficients_match_linear_map(ctx):
+    # the coefficients l_i(a) of all monic a of one degree <= 3, taken on
+    # one batch axis, against sum_j a_j rho_(T^j) one a at a time
+    basis = power_basis(ctx, 3)
+    for d in range(4):
+        ms = monics(ctx, d)
+        ls = carlitz._rho_coeffs(ctx, np.stack([a.arr for a in ms], 1))
+        for k, a in enumerate(ms):
+            assert [Poly(ctx, ls[:, k, i]) for i in range(d + 1)] == list(
+                linear_map(a, basis).coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -258,6 +294,99 @@ def test_monic_sum_independent_of_grouping():
     assert (even + odd) == full
 
 
+def u_sub_a_oracle(a, prec, rho):
+    """u(az) = u^(q^d) / (u^(q^d) rho_a(1/u)) below prec, d = deg a, by one
+    series inverse."""
+    ctx, q = a.ctx, a.ctx.q
+    big = q ** int(a.degree)
+    if big >= prec:
+        return USeries.zero(ctx, prec)
+    denom = USeries(ctx, {big - q ** i: li for i, li in enumerate(rho.coeffs)
+                          if big - q ** i < prec - big},
+                    prec - big, support_class=0)
+    return denom.inverse().shift(big).truncate(prec)
+
+
+def monic_series_sum_oracle(ctx, weight, power, prec):
+    """The per-monic sum of weight(a) * u(az)^power: one linear_map, one
+    series inverse, one power and one scaled add per monic a."""
+    if power < 1 or prec < 1:
+        raise ValueError("power and prec must be at least 1")
+    q = ctx.q
+    total = USeries.zero(ctx, prec)
+    d = 0
+    while power * q ** d < prec:
+        basis = power_basis(ctx, d)  # by composition, not by carlitz_map
+        for a in monics(ctx, d):
+            w = weight(a)
+            if isinstance(w, int):
+                w = Poly.constant(ctx, w)
+            if w.is_zero():
+                continue
+            rel = prec - power * q ** d
+            ua = u_sub_a_oracle(a, q ** d + rel, linear_map(a, basis))
+            term = ua ** power if power != 1 else ua
+            total = total + term.truncate(prec) * w
+        d += 1
+    return total
+
+
+def assert_same_series(f, g):
+    assert (f.val, f.prec, f.den, f.coeffs, f.support_class) == (
+        g.val, g.prec, g.den, g.coeffs, g.support_class)
+    assert f.exps.tolist() == g.exps.tolist()
+
+
+WEIGHTS = {
+    "one": lambda ctx: lambda a: 1,
+    "a": lambda ctx: lambda a: a,
+    "a^2+T": lambda ctx: lambda a: a * a + Poly.T(ctx),
+    "T-free": lambda ctx: lambda a: (
+        Poly.zero(ctx) if (a % Poly.T(ctx)).is_zero() else Poly.one(ctx)),
+    "a/(T+1)": lambda ctx: lambda a: RatFunc(a, Poly.T(ctx) + 1),
+    "zero-on-degree-1": lambda ctx: lambda a: (
+        Poly.zero(ctx) if a.degree == 1 else a),
+}
+
+# the per-monic oracle gets costly beyond these precisions; each cap
+# still straddles the degree 2 cutoffs of every power below
+SUM_CAP = {3: 85, 5: 101, 7: 99, 9: 82}
+
+
+def sum_cutoffs(q, power):
+    """Every precision where a degree enters or leaves, power * q^d - 1,
+    power * q^d and power * q^d + 1, and the empty sums, prec <= power."""
+    marks = {power * q ** d + s for d in range(6) for s in (-1, 0, 1)}
+    return sorted(m for m in marks | set(range(1, power + 1))
+                  if 1 <= m <= SUM_CAP[q])
+
+
+@pytest.mark.parametrize("ctx", (F3, F5, F7, F9), ids=lambda c: f"q{c.q}")
+@pytest.mark.parametrize("weight", sorted(WEIGHTS))
+def test_batched_sum_matches_per_monic_oracle(ctx, weight):
+    q = ctx.q
+    w = WEIGHTS[weight](ctx)
+    for power in sorted({1, 2, q - 1, q}):
+        for prec in sum_cutoffs(q, power):
+            assert_same_series(monic_series_sum(ctx, w, power, prec),
+                               monic_series_sum_oracle(ctx, w, power, prec))
+
+
+def test_batched_sum_that_cancels_keeps_its_window():
+    # the degree 1 sum of u(az) vanishes below u^(q^2 - q + 1), so the sum
+    # is zero with the valuation q of its last term, as term by term
+    def degree_one(a):
+        return int(a.degree == 1)
+
+    for ctx in (F3, F5):
+        q = ctx.q
+        for prec in range(q + 1, q * q - q + 1):
+            s = monic_series_sum(ctx, degree_one, 1, prec)
+            assert s.is_zero() and s.val == q and s.support_class == 1
+            assert_same_series(
+                s, monic_series_sum_oracle(ctx, degree_one, 1, prec))
+
+
 # ---------------------------------------------------------------------------
 # power sums by the lattice recursion, against the sum over every monic a
 
@@ -265,11 +394,6 @@ def test_monic_sum_independent_of_grouping():
 def lattice_val(q, d):
     """Valuation of t_d, the sum of u(az) over monic a of degree d."""
     return q ** (2 * d) - (q ** (2 * d) - 1) // (q + 1)
-
-
-def assert_same_series(f, g):
-    assert (f.val, f.prec, f.den, f.coeffs, f.support_class) == (
-        g.val, g.prec, g.den, g.coeffs, g.support_class)
 
 
 def compare_power_sums(ctx, k, prec):

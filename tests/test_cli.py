@@ -271,3 +271,40 @@ def test_repeated_runs_byte_identical(capsys):
     _, out1, _ = run(capsys, argv)
     _, out2, _ = run(capsys, argv)
     assert out1 == out2
+
+
+def test_reused_parser_matches_a_fresh_one(capsys, monkeypatch):
+    # main builds its parser on the first call and reuses it; a usage
+    # error between two valid calls must leave no state behind, so every
+    # call prints and exits as it does with a parser of its own
+    from drinfeldforms import cli
+    calls = (["--format", "json", "dim", "--k", "4", "--l", "1"],
+             ["dim", "--k", "4"],
+             ["dim", "--k", "4", "--l", "1"],
+             ["--p", "5", "basis", "--k", "8", "--l", "0"],
+             ["expand", "E_T", "--prec", "-1"],
+             ["basis", "--k", "4", "--l", "1", "--format", "json"],
+             ["--p", "3", "--r", "2", "dim", "--k", "10", "--l", "1"])
+
+    def outcome(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out = capsys.readouterr()
+        return code, out.out
+
+    monkeypatch.setattr(cli, "_PARSER", None)
+    reused = [outcome(argv) for argv in calls]
+    parser = cli._PARSER
+    assert parser is not None
+    fresh = []
+    for argv in calls:
+        monkeypatch.setattr(cli, "_PARSER", None)
+        fresh.append(outcome(argv))
+    assert reused == fresh
+    assert [code for code, _ in reused] == [0, 2, 0, 0, 2, 0, 0]
+    assert reused[0][1] != reused[2][1]  # no --format json left over
+    # the reused run really shared one parser
+    monkeypatch.setattr(cli, "_PARSER", parser)
+    assert outcome(calls[0]) == reused[0] and cli._PARSER is parser

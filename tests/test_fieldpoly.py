@@ -2,6 +2,7 @@ import hashlib
 import random
 import time
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -174,6 +175,47 @@ def test_largest_supported_prime_is_exact():
     T = Poly.T(ctx)
     assert T._scale(m1)._scale(m1) == T
     assert (T * m1 + 1) * (T * m1 + 1) == T * T + T * 2 * m1 + 1
+
+
+@pytest.mark.parametrize("p", ((1 << 31) - 1, 1000003))
+def test_batch_product_matches_poly_product_by_row(p):
+    # near p = 2^31 one residue product is about 2^62, so every sum of
+    # products passes the int64 bound; at p = 1000003 it stays below
+    ctx = make_field(p, 1)
+    rng = np.random.default_rng(p % 1000)
+    for wa, wb in ((3, 3), (5, 3), (3, 8), (12, 4)):
+        a = rng.integers(0, p, (1, 3, 2, wa))
+        b = rng.integers(0, p, (1, 3, 2, wb))
+        a[0, 0, 0] = p - 1  # the largest products, every term at once
+        b[0, 0, 0] = p - 1
+        a[..., -1] |= 1  # nonzero leading coefficients: untrimmed products
+        b[..., -1] |= 1
+        full = fieldpoly._batch_product(ctx, a, b)
+        for i in range(3):
+            for j in range(2):
+                assert full[:, i, j].tolist() == fieldpoly._poly_product(
+                    ctx, a[:, i, j], b[:, i, j]).tolist()
+        assert np.array_equal(fieldpoly._batch_product(ctx, a, b, wa),
+                              full[..., :wa])
+        # one factor broadcast over the other's batch axes
+        assert np.array_equal(fieldpoly._batch_product(ctx, a, b[:, :1, :1]),
+                              np.stack([fieldpoly._batch_product(
+                                  ctx, a[:, i], b[:, 0, :1])
+                                  for i in range(3)], 1))
+
+
+def test_batch_product_over_F9_matches_poly_product():
+    rng = random.Random(9)
+    a = [rand_poly(F9, rng) for _ in range(6)]
+    b = [rand_poly(F9, rng) for _ in range(6)]
+    width = max(x.arr.shape[1] for x in a + b)
+    pack = np.zeros((2, 2, 6, width), dtype=np.int64)
+    for k, (x, y) in enumerate(zip(a, b)):
+        pack[:, 0, k, :x.arr.shape[1]] = x.arr
+        pack[:, 1, k, :y.arr.shape[1]] = y.arr
+    prod = fieldpoly._batch_product(F9, pack[:, 0], pack[:, 1])
+    for k, (x, y) in enumerate(zip(a, b)):
+        assert Poly(F9, prod[:, k]) == x * y
 
 
 def brute_smallest_irreducible_deg3(p):

@@ -140,6 +140,15 @@ def test_g1_matches_per_monic_oracle(ctx, prec):
     assert_same_series(build_g1(ctx, prec), g1_oracle(ctx, prec))
 
 
+@pytest.mark.parametrize("prec", (60, 72))
+def test_DeltaT_routes_agree_on_the_deep_band(prec):
+    # the two routes of criterion 3 at the two ends of the deep q = 3
+    # band: g1(Tz) against the batched sum over monic a prime to T
+    clear_form_cache()
+    assert_same_series(build_DeltaT_from_monic_sum(F3, prec),
+                       build_DeltaT(F3, prec))
+
+
 def E_oracle(ctx, prec):
     """E = sum of a * u(az) over every monic a: one series inverse per
     monic, against one inverse of Delta_T in ``build_E``."""

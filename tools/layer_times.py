@@ -10,7 +10,9 @@ from an empty form cache:
 * ``E_theta``: ``build_E``, E = Theta(Delta_T) / Delta_T, including the
   build of Delta_T;
 * ``E_T``: ``build_ET``, including the build of E;
-* ``h``: ``build_h``, including the builds of Delta_W and E_T.
+* ``h``: ``build_h``, including the builds of Delta_W and E_T;
+* ``DeltaT_monic_sum``: ``build_DeltaT_from_monic_sum``, Delta_T as the
+  sum of u(az)^(q-1) over monic a prime to T, for P up to 320 only.
 
 Linear algebra: ``relation_report`` for q in {3, 5, 9}, type l = 1,
 r in {1, 3, 5} and N = 3, from a warm form cache (one untimed report
@@ -53,7 +55,9 @@ ROUTES = {
     "E_theta": forms.build_E,
     "E_T": forms.build_ET,
     "h": forms.build_h,
+    "DeltaT_monic_sum": forms.build_DeltaT_from_monic_sum,
 }
+PREC_CAP = {"DeltaT_monic_sum": 320}  # routes timed only up to a precision
 
 
 def timed(build, ctx, prec, warm=False):
@@ -111,7 +115,8 @@ def main(argv=None):
         for prec in PRECS:
             row = {"q": q, "prec": prec}
             for name, build in ROUTES.items():
-                row[f"{name}_s"] = round(timed(build, ctx, prec), 4)
+                if prec <= PREC_CAP.get(name, prec):
+                    row[f"{name}_s"] = round(timed(build, ctx, prec), 4)
             print(json.dumps(row), file=sys.stderr, flush=True)
             rows.append(row)
     out = {"what": "median time in seconds: generator builds from an empty "
