@@ -24,7 +24,7 @@ from .errors import (
     NonIntegralCoefficient,
 )
 from .fieldpoly import Poly, special_modulus
-from .forms import FormExpr, FormSpec, basis, expand, get_form_power
+from .forms import FormExpr, FormSpec, basis, expand, valid_specs
 
 CONGRUENT_ZERO = "CongruentZero"
 EXACT_ZERO = "ExactZero"
@@ -178,91 +178,41 @@ def build_residue_form(ctx, form, k, l, a, prec=None):
 
 
 # ---------------------------------------------------------------------------
-# sweep drivers
+# sweep drivers: one single-case check per entry
 
 
-def valid_specs(ctx, r_max):
-    """All (k, l, r) with 0 <= l <= q-2, 0 <= r <= r_max and k >= 1."""
-    out = []
-    for l in range(ctx.q - 1):
-        for r in range(r_max + 1):
-            k = r * (ctx.q - 1) + 2 * l
-            if k >= 1:
-                out.append((k, l, r))
-    return out
+def _b_max(ctx, pb_max):
+    """The largest b with p^b <= pb_max, or 0 when pb_max < p."""
+    b = 0
+    while ctx.p ** (b + 1) <= pb_max:
+        b += 1
+    return b
 
 
 def sweep_congruence(ctx, r_max=7, d_values=(1, 2), pb_max=27):
-    """Every congruence witness with r <= r_max and p^b <= pb_max.
-
-    The products Delta_W^(r-j) Delta_T^j E_T^q do not depend on l, so they
-    are built once per (r-j, j) and shared across all types.
-    """
-    q = ctx.q
-    b_max = 0
-    while ctx.p ** (b_max + 1) <= pb_max:
-        b_max += 1
+    """``check_congruence`` on every basis monomial of every space with
+    r <= r_max, every d in d_values and every p^b <= pb_max."""
+    b_max = _b_max(ctx, pb_max)
     if b_max == 0:
         return []
-    max_target = ctx.p ** b_max * (q - 1) + 1
-    prec = max_target + q
-    et_q = get_form_power(ctx, "E_T", q, prec)
-    products = {}
-
-    def product(w, t):
-        key = (w, t)
-        if key not in products:
-            s = get_form_power(ctx, "Delta_W", w, prec)
-            s = s * get_form_power(ctx, "Delta_T", t, prec)
-            products[key] = (s * et_q).truncate(prec)
-        return products[key]
-
-    witnesses = []
-    for k, l, r in valid_specs(ctx, r_max):
-        for d in d_values:
-            for a, b in find_ab(ctx, k, l, d, b_max):
-                target = ctx.p ** b * (q - 1) + 1
-                for j, mono in enumerate(basis(ctx, k, l)):
-                    series = product(r - j, j)
-                    witnesses.append(_witness(
-                        ctx, k, l, d, a, b, mono.label(), target,
-                        series.coeff(target)))
-    return witnesses
+    return [check_congruence(ctx, mono.expr(ctx), k, l, d, a, b)
+            for k, l, _ in valid_specs(ctx, r_max)
+            for d in d_values
+            for a, b in find_ab(ctx, k, l, d, b_max)
+            for mono in basis(ctx, k, l)]
 
 
 def sweep_residues(ctx, r_max=7, pb_max=27):
     """Exact residues of the weight-2 Laurent forms for every d = 1 case
-    in the sweep; each entry carries the residue as a string."""
-    q = ctx.q
-    b_max = 0
-    while ctx.p ** (b_max + 1) <= pb_max:
-        b_max += 1
+    in the sweep, one ``build_residue_form`` each; each entry carries the
+    residue as a string."""
+    b_max = _b_max(ctx, pb_max)
     if b_max == 0:
         return []
-    # relative window large enough to reach u^1 past the deepest pole
-    rel = ctx.p ** b_max * (q - 1) + q
-    g1_pows = {}
-    dt_invs = {}
-    et_q_map = {}
-    reports = []
-    for k, l, r in valid_specs(ctx, r_max):
-        for a, b in find_ab(ctx, k, l, 1, b_max):
-            pb = ctx.p ** b
-            if a not in g1_pows:
-                g1_pows[a] = get_form_power(ctx, "g1", a, rel)
-            if pb not in dt_invs:
-                dt_invs[pb] = get_form_power(ctx, "Delta_T", -pb,
-                                             -pb * (q - 1) + rel)
-            if l not in et_q_map:
-                et_q_map[l] = get_form_power(ctx, "E_T", q - l,
-                                             (q - l) + rel)
-            for j, mono in enumerate(basis(ctx, k, l)):
-                fe = expand(mono.expr(ctx), mono.weight(ctx) + rel)
-                g = (g1_pows[a] * et_q_map[l] * fe * dt_invs[pb])
-                g = -g
-                reports.append({
-                    "q": q, "k": k, "l": l, "a": a, "b": b,
-                    "form": mono.label(),
-                    "residue": str(residue_normalized(g)),
-                })
-    return reports
+    return [{"q": ctx.q, "k": k, "l": l, "a": a, "b": b,
+             "form": mono.label(),
+             "residue": str(residue_normalized(
+                 build_residue_form(ctx, mono.expr(ctx), k, l, a)))}
+            for k, l, _ in valid_specs(ctx, r_max)
+            for a, b in find_ab(ctx, k, l, 1, b_max)
+            for mono in basis(ctx, k, l)]

@@ -39,27 +39,16 @@ from .fieldpoly import (FieldCtx, Poly, RatFunc, _as_ratfunc, _power,
                         parse_expr, special_modulus)
 from .useries import USeries
 
-GENERATOR_NAMES = ("Delta_W", "Delta_T", "E_T", "g1", "h", "E")
-
-
-def generator_weight(ctx, name):
-    if name in ("E", "E_T"):
-        return 2
-    if name == "h":
-        return ctx.q + 1
-    return ctx.q - 1
-
-
-def generator_type(ctx, name):
-    return 1 if name in ("E", "E_T", "h") else 0
-
-
-def generator_valuation(ctx, name):
-    if name in ("E", "E_T", "h"):
-        return 1
-    if name == "Delta_T":
-        return ctx.q - 1
-    return 0
+# name -> q -> (weight, type, valuation, least precision), in printing order
+_GENERATORS = {
+    "Delta_W": lambda q: (q - 1, 0, 0, q * (q - 1) + 1),
+    "Delta_T": lambda q: (q - 1, 0, q - 1, q * (q - 1) + 1),
+    "E_T": lambda q: (2, 1, 1, q + 1),
+    "g1": lambda q: (q - 1, 0, 0, q),
+    "h": lambda q: (q + 1, 1, 1, (q - 1) ** 2 + 2),
+    "E": lambda q: (2, 1, 1, 2),
+}
+GENERATOR_NAMES = tuple(_GENERATORS)
 
 
 # ---------------------------------------------------------------------------
@@ -147,15 +136,6 @@ _BUILDERS = {
     "h": build_h,
 }
 
-_MIN_PREC = {
-    "E": lambda q: 2,
-    "E_T": lambda q: q + 1,
-    "g1": lambda q: q,
-    "Delta_T": lambda q: q * (q - 1) + 1,
-    "Delta_W": lambda q: q * (q - 1) + 1,
-    "h": lambda q: (q - 1) ** 2 + 2,
-}
-
 
 class _FormCache:
     """Grow-only cache of generator series and their powers per field.
@@ -171,7 +151,7 @@ class _FormCache:
     def generator(self, ctx, name, prec):
         if name not in _BUILDERS:
             raise ExprError(f"unknown generator {name!r}")
-        prec = max(prec, _MIN_PREC[name](ctx.q))
+        prec = max(prec, _GENERATORS[name](ctx.q)[3])
         key = (ctx.key, name)
         cached = self._gens.get(key)
         if cached is None or cached.prec < prec:
@@ -186,7 +166,7 @@ class _FormCache:
 
     def power(self, ctx, name, exp, prec):
         """name^exp to absolute precision prec (negative exp allowed)."""
-        v = generator_valuation(ctx, name)
+        v = _GENERATORS[name](ctx.q)[2]
         rel = prec - exp * v
         if rel < 1:
             rel = 1
@@ -265,6 +245,17 @@ class FormSpec:
         return 1 + self.r
 
 
+def valid_specs(ctx, r_max):
+    """All (k, l, r) with 0 <= l <= q-2, 0 <= r <= r_max and k >= 1."""
+    out = []
+    for l in range(ctx.q - 1):
+        for r in range(r_max + 1):
+            k = r * (ctx.q - 1) + 2 * l
+            if k >= 1:
+                out.append((k, l, r))
+    return out
+
+
 def space_dim(ctx, k, l):
     """dim M_{k,l}(Gamma_0(T)): 1 + (k-2l)/(q-1) when defined, else 0."""
     if not 0 <= l <= ctx.q - 2 or k < 0:
@@ -297,12 +288,9 @@ class BasisMonomial:
         return "*".join(parts) if parts else "1"
 
     def expr(self, ctx):
-        out = FormExpr.one(ctx)
-        for name, e in (("Delta_W", self.e_W), ("Delta_T", self.e_T),
-                        ("E_T", self.e_E)):
-            if e:
-                out = out * FormExpr.generator(ctx, name) ** e
-        return out
+        return FormExpr(ctx, [(RatFunc.constant(ctx, 1), (
+            ("Delta_W", self.e_W), ("Delta_T", self.e_T),
+            ("E_T", self.e_E)))])
 
 
 def basis(ctx, k, l):
@@ -395,14 +383,12 @@ class FormExpr:
     __rmul__ = __mul__
 
     def __pow__(self, n):
-        if n < 0:
-            if len(self.terms) != 1:
-                raise ExprError(
-                    "negative powers need a single-monomial base")
+        if len(self.terms) == 1:
             c, m = self.terms[0]
-            inv = FormExpr(self.ctx,
-                           [(c.inverse(), tuple((g, -e) for g, e in m))])
-            return inv ** (-n)
+            c = c if c.is_one() else c ** n
+            return FormExpr(self.ctx, [(c, [(g, e * n) for g, e in m])])
+        if n < 0:
+            raise ExprError("negative powers need a single-monomial base")
         return _power(self, n, FormExpr.one(self.ctx))
 
     def _coerce(self, other):
@@ -417,7 +403,8 @@ class FormExpr:
         """Common weight of all terms; raises BadWeight when mixed."""
         if not self.terms:
             raise BadWeight("the zero expression has no weight")
-        weights = {sum(e * generator_weight(self.ctx, n) for n, e in m)
+        q = self.ctx.q
+        weights = {sum(e * _GENERATORS[n](q)[0] for n, e in m)
                    for _, m in self.terms}
         if len(weights) != 1:
             raise BadWeight(f"mixed weights {sorted(weights)}")
@@ -427,8 +414,8 @@ class FormExpr:
         """Common type mod (q-1), lifted to [0, q-2]."""
         if not self.terms:
             raise BadWeight("the zero expression has no type")
-        m1 = self.ctx.q - 1
-        types = {sum(e * generator_type(self.ctx, n) for n, e in m) % m1
+        q = self.ctx.q
+        types = {sum(e * _GENERATORS[n](q)[1] for n, e in m) % (q - 1)
                  for _, m in self.terms}
         if len(types) != 1:
             raise BadWeight(f"mixed types {sorted(types)}")
@@ -495,14 +482,14 @@ def expand(expr, prec):
     q = ctx.q
     out = USeries.zero(ctx, prec)
     for coef, mono in expr.terms:
-        v = sum(e * generator_valuation(ctx, n) for n, e in mono)
+        v = sum(e * _GENERATORS[n](q)[2] for n, e in mono)
         if v >= prec:
             continue
         rel = prec - v + (q - 1)
         part = None
         for name, e in mono:
             fs = get_form_power(ctx, name, e,
-                                e * generator_valuation(ctx, name) + rel)
+                                e * _GENERATORS[name](q)[2] + rel)
             part = fs if part is None else part * fs
         if part is None:
             part = USeries.one(ctx, prec, support_class=0)

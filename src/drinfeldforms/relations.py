@@ -26,6 +26,7 @@ from .forms import (
     basis,
     basis_series,
     expand,
+    valid_specs,
 )
 
 
@@ -147,15 +148,22 @@ def _dot(zero, a, b):
                 if not (x.is_zero() or y.is_zero())), zero)
 
 
+def _unitriangular(dual, r):
+    """Rows 0 .. r of M are integral with unit diagonal and zeros above it
+    (criterion 8)."""
+    return all(x.is_integral() and (x.is_one() if i == c else
+                                    i > c or x.is_zero())
+               for i, row in enumerate(dual.entries[:r + 1])
+               for c, x in enumerate(row))
+
+
 def _kernel_by_back_substitution(dual, r):
     """The left kernel {v : v M = 0}: for each j > r, the v with v_j = 1
-    and 0 at the other indices above r.  Rows 0 .. r of M are integral with
-    unit diagonal and zeros above it (criterion 8), so v_c = -sum_{i>c} v_i
-    M[i][c] for c = r .. 0 needs no division."""
+    and 0 at the other indices above r.  M is unitriangular on rows 0 .. r
+    (``_unitriangular``), so v_c = -sum_{i>c} v_i M[i][c] for c = r .. 0
+    needs no division."""
     ctx, m = dual.ctx, dual.entries
-    if not all(x.is_integral() and (x.is_one() if i == c else
-                                    i > c or x.is_zero())
-               for i, row in enumerate(m[:r + 1]) for c, x in enumerate(row)):
+    if not _unitriangular(dual, r):
         raise NotUnitriangular(
             "the dual matrix is not unitriangular on its first r + 1 rows")
     cols = list(zip(*m))
@@ -211,12 +219,5 @@ def relation_report(ctx, k, l, N):
 def sweep_relations(ctx, r_max=5, n_max=3):
     """relation_report over every valid (k, l) with r <= r_max and every
     N <= n_max."""
-    out = []
-    for l in range(ctx.q - 1):
-        for r in range(r_max + 1):
-            k = r * (ctx.q - 1) + 2 * l
-            if k < 1:
-                continue
-            for N in range(n_max + 1):
-                out.append(relation_report(ctx, k, l, N))
-    return out
+    return [relation_report(ctx, k, l, N)
+            for k, l, _ in valid_specs(ctx, r_max) for N in range(n_max + 1)]

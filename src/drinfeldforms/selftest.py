@@ -21,13 +21,18 @@ from .congruence import (
 from .fieldpoly import Poly, RatFunc, make_field
 from .forms import (
     FormExpr,
-    basis_series,
     build_DeltaT,
     build_DeltaT_from_monic_sum,
     expand,
     get_form,
+    valid_specs,
 )
-from .relations import compute_b_vector, sweep_relations
+from .relations import (
+    _dual_matrix,
+    _unitriangular,
+    compute_b_vector,
+    sweep_relations,
+)
 
 
 def criterion_displayed_expansions(ctx):
@@ -150,26 +155,12 @@ def criterion_relations_sweep(ctx, r_max=5, n_max=3):
 
 
 def criterion_triangularity(ctx, r_max=5):
-    """[a_i*(S_j)] is unitriangular for every space in the sweep."""
-    q = ctx.q
-    ok = True
-    count = 0
-    for l in range(q - 1):
-        for r in range(r_max + 1):
-            k = r * (q - 1) + 2 * l
-            if k < 1:
-                continue
-            prec = r * (q - 1) + l + q
-            series = basis_series(ctx, k, l, prec)
-            for j, f in enumerate(series):
-                for i in range(r + 1):
-                    c = f.coeff(i * (q - 1) + l)
-                    if i < j and not c.is_zero():
-                        ok = False
-                    if i == j and not c.is_one():
-                        ok = False
-            count += 1
-    return ok, f"spaces={count}"
+    """[a_i*(S_j)] is unitriangular for every space in the sweep: the
+    condition the kernel route of ``relation_report`` relies on."""
+    specs = valid_specs(ctx, r_max)
+    ok = all(_unitriangular(_dual_matrix(ctx, k, l, 0), r)
+             for k, l, r in specs)
+    return ok, f"spaces={len(specs)}"
 
 
 def criterion_determinism(ctx):

@@ -1,5 +1,6 @@
 import pytest
 
+from drinfeldforms import congruence
 from drinfeldforms.congruence import (
     CONGRUENT_ZERO,
     EXACT_ZERO,
@@ -261,3 +262,33 @@ def test_sweep_deterministic():
     a = [w.json_dict() for w in sweep_congruence(F3, r_max=2, pb_max=9)]
     b = [w.json_dict() for w in sweep_congruence(F3, r_max=2, pb_max=9)]
     assert a == b
+
+
+@pytest.mark.parametrize("ctx", (F3, F5), ids=("q3", "q5"))
+def test_sweeps_empty_below_p(ctx):
+    # no b >= 1 has p^b <= 2, and find_ab would reject b_max = 0
+    assert sweep_congruence(ctx, pb_max=2) == []
+    assert sweep_residues(ctx, pb_max=2) == []
+
+
+def test_sweeps_make_one_single_case_call_per_entry(monkeypatch):
+    calls = []
+
+    def spy(fn):
+        def wrapped(*args, **kwargs):
+            calls.append(fn(*args, **kwargs))
+            return calls[-1]
+        return wrapped
+
+    monkeypatch.setattr(congruence, "check_congruence",
+                        spy(check_congruence))
+    ws = sweep_congruence(F3, r_max=3, d_values=(1, 2), pb_max=9)
+    assert len(ws) == len(calls) > 0
+    assert all(w is c for w, c in zip(ws, calls))
+    calls.clear()
+    monkeypatch.setattr(congruence, "build_residue_form",
+                        spy(build_residue_form))
+    reports = sweep_residues(F3, r_max=3, pb_max=9)
+    assert len(reports) == len(calls) > 0
+    assert [rep["residue"] for rep in reports] == [
+        str(residue_normalized(g)) for g in calls]

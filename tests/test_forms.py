@@ -8,9 +8,11 @@ from drinfeldforms.errors import (
     ExprError,
     PrecisionExceeded,
 )
-from drinfeldforms.fieldpoly import Poly, RatFunc, make_field, special_modulus
+from drinfeldforms.fieldpoly import (Poly, RatFunc, _power, make_field,
+                                    ratfunc_parse, special_modulus)
 from drinfeldforms.forms import (
     GENERATOR_NAMES,
+    BasisMonomial,
     FormExpr,
     FormSpec,
     basis,
@@ -26,6 +28,7 @@ from drinfeldforms.forms import (
     expand,
     get_form,
     space_dim,
+    valid_specs,
 )
 from drinfeldforms.useries import USeries
 
@@ -377,6 +380,65 @@ def test_expr_power_matches_repeated_products():
     for n in range(7):
         assert (base ** n).terms == acc.terms
         acc = acc * base
+
+
+def pow_by_products(x, n):
+    """The oracle for ``FormExpr.__pow__``: invert a single-monomial base
+    for n < 0, then square-and-multiply with ``FormExpr.__mul__``."""
+    if n < 0:
+        if len(x.terms) != 1:
+            raise ExprError("negative powers need a single-monomial base")
+        c, m = x.terms[0]
+        x = FormExpr(x.ctx, [(c.inverse(), tuple((g, -e) for g, e in m))])
+        n = -n
+    return _power(x, n, FormExpr.one(x.ctx))
+
+
+def expr_by_products(m, ctx):
+    """The oracle for ``BasisMonomial.expr``: a product of generator
+    powers."""
+    out = FormExpr.one(ctx)
+    for name, e in (("Delta_W", m.e_W), ("Delta_T", m.e_T),
+                    ("E_T", m.e_E)):
+        if e:
+            out = out * pow_by_products(FormExpr.generator(ctx, name), e)
+    return out
+
+
+@pytest.mark.parametrize("ctx", FIELDS, ids=("q3", "q5", "q9"))
+def test_single_monomial_power_matches_repeated_products(ctx):
+    coeffs = ["1", "T+1", "(T+1)/T^2"] + (["w"] if ctx.r > 1 else [])
+    monos = ((), (("Delta_W", 1),), (("Delta_T", 2), ("E_T", -1), ("h", 3)))
+    for text in coeffs:
+        c = ratfunc_parse(ctx, text)
+        for mono in monos:
+            x = FormExpr(ctx, [(c, mono)])
+            for n in range(-4, 5):
+                assert (x ** n).terms == pow_by_products(x, n).terms, \
+                    (text, mono, n)
+
+
+def test_negative_power_of_non_monomial_raises():
+    message = "negative powers need a single-monomial base"
+    for x in (FormExpr.parse(F3, "E_T + h*Delta_T^-1"),
+              FormExpr.scalar(F3, 0)):
+        for power in (lambda x: x ** -1, lambda x: pow_by_products(x, -1)):
+            with pytest.raises(ExprError) as err:
+                power(x)
+            assert str(err.value) == message
+
+
+@pytest.mark.parametrize("ctx", FIELDS, ids=("q3", "q5", "q9"))
+def test_basis_monomial_expr_matches_products(ctx):
+    count = 0
+    for k, l, _ in valid_specs(ctx, 7):
+        for m in basis(ctx, k, l):
+            e = m.expr(ctx)
+            assert e.terms == expr_by_products(m, ctx).terms, m
+            assert str(e) == m.label()
+            count += 1
+    assert count > 0
+    assert str(BasisMonomial(0, 0, 0).expr(ctx)) == "1"
 
 
 def test_expr_weight_type():

@@ -12,6 +12,14 @@ sweep (r <= 5 and N <= 3 at q = 3 and 5, r <= 2 and N <= 1 at q = 9) as
 ``json.dumps(..., sort_keys=True, indent=1)``; they were recorded before
 Matrix.rref became fraction-free.
 
+``tests/golden/congruence-sweep-q{3,5}.json`` hold the witnesses of
+``sweep_congruence(ctx, 7, (1, 2), 27)`` and
+``tests/golden/residue-sweep-q{3,5}.json`` the reports of
+``sweep_residues(ctx, 7, 27)``, in the same format; they were recorded
+while both sweeps still multiplied shared generator powers themselves,
+before each entry came from one ``check_congruence`` or
+``build_residue_form`` call.
+
 The ``expand-nonintegral-*`` cases expand forms whose u-expansions have
 coefficients outside F_q[T] (user scalars with denominators, inverses,
 the non-modular E), in the same three fields and two formats, and
@@ -25,6 +33,7 @@ import os
 import pytest
 
 from drinfeldforms.cli import main
+from drinfeldforms.congruence import sweep_congruence, sweep_residues
 from drinfeldforms.fieldpoly import make_field
 from drinfeldforms.forms import clear_form_cache
 from drinfeldforms.relations import sweep_relations
@@ -62,6 +71,12 @@ CASES.append(("selftest-full", ["selftest", "--profile", "full"]))
 
 # (field, p, r, r_max, n_max) of the relation sweeps
 SWEEPS = (("q3", 3, 1, 5, 3), ("q5", 5, 1, 5, 3), ("q9", 3, 2, 2, 1))
+# name -> the JSON payload of the acceptance sweep it records
+THEOREM_SWEEPS = {
+    "congruence-sweep": lambda ctx: [
+        w.json_dict() for w in sweep_congruence(ctx, 7, (1, 2), 27)],
+    "residue-sweep": lambda ctx: sweep_residues(ctx, 7, 27),
+}
 
 
 def run_case(argv, capsys):
@@ -98,5 +113,17 @@ def test_golden_relation_sweep(field, p, r, r_max, n_max):
                      sort_keys=True, indent=1)
     with open(os.path.join(GOLDEN, f"relations-sweep-{field}.json"),
               encoding="utf-8", newline="") as fh:
+        expected = fh.read()
+    assert out == expected
+
+
+@pytest.mark.parametrize("name", sorted(THEOREM_SWEEPS))
+@pytest.mark.parametrize("p", (3, 5), ids=("q3", "q5"))
+def test_golden_theorem_sweep(name, p):
+    clear_form_cache()
+    out = json.dumps(THEOREM_SWEEPS[name](make_field(p, 1)),
+                     sort_keys=True, indent=1)
+    with open(os.path.join(GOLDEN, f"{name}-q{p}.json"), encoding="utf-8",
+              newline="") as fh:
         expected = fh.read()
     assert out == expected

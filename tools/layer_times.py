@@ -18,6 +18,11 @@ Linear algebra: ``relation_report`` for q in {3, 5, 9}, type l = 1,
 r in {1, 3, 5} and N = 3, from a warm form cache (one untimed report
 first), so that the kernel, rank and span checks dominate.
 
+Selftest: one row per criterion line of ``selftest --profile quick`` and
+``--profile full``, the seconds of that line (field set-up and check)
+from an empty form cache, plus the whole profile, ``run_selftest``, from
+an empty form cache.
+
 Each time is the median of three runs in one process.  The JSON
 records the host (platform, CPU count, Python and numpy versions) next to
 the times, so that figures from different machines are not mixed.  With
@@ -38,7 +43,7 @@ import time
 
 import numpy as np
 
-from drinfeldforms import forms
+from drinfeldforms import forms, selftest
 from drinfeldforms.carlitz import monic_series_sum
 from drinfeldforms.fieldpoly import make_field
 from drinfeldforms.relations import relation_report
@@ -92,6 +97,22 @@ def relation_rows():
     return rows
 
 
+def selftest_rows():
+    rows = []
+    for profile in ("quick", "full"):
+        lines = [(f"c{num} {label} q={q}",
+                  lambda fn=fn, q=q: fn(selftest._context(q)))
+                 for num, label, q, fn in selftest._criteria_for(profile)]
+        lines.append(("run_selftest",
+                      lambda profile=profile: selftest.run_selftest(profile)))
+        for line, run in lines:
+            row = {"profile": profile, "line": line,
+                   "s": round(timed(lambda *_: run(), None, None), 4)}
+            print(json.dumps(row), file=sys.stderr, flush=True)
+            rows.append(row)
+    return rows
+
+
 def host():
     return {
         "platform": platform.platform(),
@@ -119,15 +140,17 @@ def main(argv=None):
                     row[f"{name}_s"] = round(timed(build, ctx, prec), 4)
             print(json.dumps(row), file=sys.stderr, flush=True)
             rows.append(row)
-    out = {"what": "median time in seconds: generator builds from an empty "
-                   "form cache, relation reports from a warm one",
+    out = {"what": "median time in seconds: generator builds and selftest "
+                   "lines from an empty form cache, relation reports from "
+                   "a warm one",
            "runs": RUNS, "host": host(), "results": rows,
-           "relations": relation_rows()}
+           "relations": relation_rows(), "selftest": selftest_rows()}
     if args.parent:
         with open(args.parent) as fh:
             old = json.load(fh)
         out["parent"] = {key: old[key] for key in ("host", "results",
-                                                   "relations")}
+                                                   "relations", "selftest")
+                         if key in old}
     with open(args.out, "w") as fh:
         json.dump(out, fh, indent=2)
         fh.write("\n")
