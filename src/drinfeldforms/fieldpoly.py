@@ -510,7 +510,8 @@ def _batch_product(ctx, a, b, width=None):
     p, r = ctx.p, ctx.r
     a, b = (a, b) if a.shape[-1] >= b.shape[-1] else (b, a)
     wa, wb = a.shape[-1], b.shape[-1]
-    width = wa + wb - 1 if width is None else min(width, wa + wb - 1)
+    full = max(wa + wb - 1, 0)
+    width = full if width is None else min(width, full)
     exact = np.int64 if wb * (p - 1) ** 2 < 1 << 62 else object
     # coordinate planes i of a and j of b give the multiple of w^(i+j)
     a = a[:, None].astype(exact, copy=False)
@@ -550,11 +551,11 @@ class Poly:
     # -- constructors -------------------------------------------------
     @classmethod
     def zero(cls, ctx):
-        return cls(ctx, np.zeros((ctx.r, 0), dtype=np.int64))
+        return _constants(ctx)[0]
 
     @classmethod
     def one(cls, ctx):
-        return cls.constant(ctx, 1)
+        return _constants(ctx)[1]
 
     @classmethod
     def T(cls, ctx):
@@ -563,6 +564,8 @@ class Poly:
     @classmethod
     def constant(cls, ctx, c):
         e = ctx.element(c) if not isinstance(c, FqElem) else c
+        if e.code < 2:
+            return _constants(ctx)[e.code]
         arr = np.zeros((ctx.r, 1), dtype=np.int64)
         arr[:, 0] = e.coords
         return cls(ctx, arr)
@@ -810,7 +813,10 @@ class RatFunc:
 
     @classmethod
     def constant(cls, ctx, c):
-        return cls._reduced(Poly.constant(ctx, c), Poly.one(ctx))
+        num = Poly.constant(ctx, c)
+        zero, one, rzero, rone = _constants(ctx)
+        return (rzero if num is zero else rone if num is one
+                else cls._reduced(num, one))
 
     @property
     def ctx(self):
@@ -886,9 +892,10 @@ class RatFunc:
         return self * other.inverse()
 
     def __pow__(self, n):
+        # num^n / den^n is again in lowest terms with a monic denominator
         if n < 0:
             return self.inverse() ** (-n)
-        return _power(self, n, RatFunc.constant(self.ctx, 1))
+        return RatFunc._reduced(self.num ** n, self.den ** n)
 
     def __eq__(self, other):
         if isinstance(other, (int, FqElem, Poly)):
@@ -906,6 +913,22 @@ class RatFunc:
 
     def __repr__(self):
         return f"RatFunc({self}, q={self.ctx.q})"
+
+
+_CONSTANTS = {}
+
+
+def _constants(ctx):
+    """The polynomials 0 and 1 and the fractions 0 and 1 over ctx, built on
+    first use and shared: every object here is immutable."""
+    out = _CONSTANTS.get(ctx.key)
+    if out is None:
+        one = np.zeros((ctx.r, 1), dtype=np.int64)
+        one[0, 0] = 1
+        zero, one = Poly(ctx, one[:, :0]), Poly(ctx, one)
+        out = _CONSTANTS[ctx.key] = (zero, one, RatFunc._reduced(zero, one),
+                                     RatFunc._reduced(one, one))
+    return out
 
 
 def _as_ratfunc(ctx, v):
@@ -1088,98 +1111,285 @@ def _cleared_row(ctx, row):
             else x.num * (lcm // x.den) for x in row], lcm
 
 
-def _bareiss(p, x, f, y, prev):
-    """The exact quotient (p*x - f*y) / prev of one elimination step."""
-    num = p * x if f.is_zero() or y.is_zero() else p * x - f * y
-    if num.is_zero() or prev.is_one():
-        return num
-    quo, rem = divmod(num, prev)
-    if not rem.is_zero():
-        raise DivisionNotExact(
-            "fraction-free elimination left a remainder; "
-            "this is an internal bug")
-    return quo
+def _lowest_terms(ctx, block, den):
+    """Block and denominator with their common factor divided out and the
+    denominator made monic.  The gcd runs on the remainders of the rows
+    mod den, the only row Polys a kernel builds."""
+    quot, rem = _rows_divmod(ctx, block, den.arr)
+    g = den
+    for i in np.flatnonzero(rem.any(axis=(0, 2))).tolist():
+        if g.degree < 1:
+            break
+        g = g.gcd(Poly(ctx, rem[:, i]))
+    if g.degree > 0:
+        block = _trimmed(quot if g == den else
+                         _rows_divmod(ctx, block, g.arr)[0])
+        den = den // g
+    if not den.lead.is_one():
+        inv = den.lead.inverse()
+        den, block = den._scale(inv), _times_coords(ctx, inv.coords, block)
+    return block, den
+
+
+def _padded(arr, width):
+    """A coefficient array cut or zero-padded to ``width`` powers of T."""
+    out = np.zeros(arr.shape[:-1] + (width,), dtype=np.int64)
+    out[..., :min(width, arr.shape[-1])] = arr[..., :width]
+    return out
+
+
+def _stacked(arrays, axis):
+    """Coefficient arrays of one shape but for their widths, padded to
+    the widest and stacked on a new axis."""
+    width = max(a.shape[-1] for a in arrays)
+    return np.stack([_padded(a, width) for a in arrays], axis=axis)
+
+
+def _fraction_free(ctx, block):
+    """Fraction-free Gauss-Jordan elimination of a matrix of polynomials
+    held as one block, coordinate x row x column x power of T, entries in
+    [0, p); returns the eliminated block and the tuple of pivot columns.
+
+    At the pivot c in row pr every other row i becomes
+    (c*row_i - a_i*row_pr) / c_prev, where a_i is its entry in the pivot
+    column and c_prev the previous pivot (1 at the first step): two
+    batched products and one long division, covering all rows.  By
+    Sylvester's identity (Bareiss, Math. Comp. 22, 1968) every entry is
+    then a minor of the block, so each division is exact.  At the end
+    every pivot row holds the last pivot in its pivot column, the other
+    pivot columns are zero and so are the rows below the rank.
+    """
+    p, (_, rows, cols, _) = ctx.p, block.shape
+    work, pivots, prev = block, [], None
+    for pc in range(cols):
+        pr = len(pivots)
+        if pr == rows:
+            break
+        hit = np.flatnonzero(work[:, pr:, pc].any(axis=(0, 2)))
+        if not hit.size:
+            continue
+        order = np.arange(rows)
+        order[[pr, pr + hit[0]]] = pr + hit[0], pr
+        work = work[:, order]
+        prow, pivot = work[:, pr], _trimmed(work[:, pr, pc])
+        pivots.append(pc)
+        if rows == 1:
+            break  # one row is its own echelon form
+        num = _batch_product(ctx, pivot[:, None, None], work)
+        sub = _batch_product(ctx, _trimmed(work[:, :, pc])[:, :, None],
+                             prow[:, None])
+        width = max(num.shape[-1], sub.shape[-1])
+        num = (_padded(num, width) - _padded(sub, width)) % p
+        if prev is not None:
+            num, rem = _rows_divmod(ctx, num, prev)
+            if rem.any():
+                raise DivisionNotExact(
+                    "fraction-free elimination left a remainder; "
+                    "this is an internal bug")
+        num = _padded(num, max(num.shape[-1], prow.shape[-1]))
+        num[:, pr] = _padded(prow, num.shape[-1])
+        work, prev = _trimmed(num), pivot
+    return work, tuple(pivots)
+
+
+def _degrees(arr):
+    """Degrees of a batch of polynomials (r, ..., w); -1 for zero."""
+    nz = arr.any(axis=0)
+    return np.where(nz.any(axis=-1),
+                    nz.shape[-1] - 1 - np.argmax(nz[..., ::-1], axis=-1), -1)
+
+
+def _times_each(ctx, c, arr):
+    """A batch of coefficient arrays (r, ..., K, w) times one field element
+    per batch index k, with coordinates c[:, k]; entries in [0, p)."""
+    r = ctx.r
+    c = c.reshape(c.shape[:1] + (1,) * (arr.ndim - 3) + c.shape[1:] + (1,))
+    if r == 1:
+        return c * arr % ctx.p
+    acc = np.zeros((2 * r - 1,) + arr.shape[1:], dtype=np.int64)
+    for i in range(r):
+        acc[i:i + r] += c[i] * arr
+    return ctx._fold(acc)
+
+
+def _lowest_fractions(ctx, rem, den):
+    """Lowest terms of a batch of proper fractions rem_k / den_k, given as
+    arrays (r, K, w) with each rem_k nonzero and of lower degree than the
+    monic den_k; returns the reduced numerators and monic denominators.
+
+    One extended Euclidean algorithm runs on all pairs at once, one
+    leading term per step and without division: of the two rows
+    X = s*den + t*rem of a pair, the row A of larger degree becomes
+    lc(B)*A - lc(A)*T^(deg A - deg B)*B.  Each step multiplies the
+    determinant of the cofactor matrix by a unit, so when the row B
+    vanishes its cofactors are coprime, and s*den + t*rem = 0 gives
+    rem / den = -s / t.
+    """
+    p, r = ctx.p, ctx.r
+    k, w = rem.shape[1], max(rem.shape[-1], den.shape[-1])
+    # rows A = x[:, 0] and B = x[:, 1], each a polynomial and its cofactors
+    # s and t
+    x = np.zeros((r, 2, 3, k, w), dtype=np.int64)
+    x[:, 0, 0, :, :den.shape[-1]] = den
+    x[:, 1, 0, :, :rem.shape[-1]] = rem
+    x[0, 0, 1, :, 0] = x[0, 1, 2, :, 0] = 1
+    at, src = np.arange(k), w + np.arange(w)
+    while True:
+        deg = _degrees(x[:, :, 0])
+        live = deg[1] >= 0
+        if not live.any():
+            break
+        swap = np.flatnonzero(live & (deg[0] < deg[1]))
+        if swap.size:
+            x[:, :, :, swap] = x[:, ::-1, :, swap]
+            deg[:, swap] = deg[::-1, swap]
+        # column w + j - shift of [0 | B] is column j of T^shift * B; a
+        # finished pair keeps B, which holds its answer, and spends A
+        b, shift = x[:, 1], np.where(live, deg[0] - deg[1], w)
+        shifted = np.concatenate([np.zeros_like(b), b], axis=-1)[
+            :, :, at[:, None], src - shift[:, None]]
+        x[:, 0] = (_times_each(ctx, b[:, 0, at, deg[1]], x[:, 0])
+                   - _times_each(ctx, x[:, 0, 0, at, deg[0]], shifted)) % p
+    s, t = x[:, 1, 1], x[:, 1, 2]
+    inv = np.array([ctx.element(c).inverse().coords for c in
+                    t[:, at, _degrees(t)].T.tolist()], dtype=np.int64).T
+    return _times_each(ctx, -inv % p, s), _times_each(ctx, inv, t)
+
+
+def _reduced_entries(ctx, block, dens):
+    """The entries of the rows block[:, i] / dens[i] as reduced RatFunc.
+    One long division per distinct denominator gives the integral entries
+    as quotients; the others, quotient plus a proper fraction, have their
+    fractions reduced together by ``_lowest_fractions``."""
+    _, one, zero, _ = _constants(ctx)
+    cols = block.shape[2]
+    out = [None] * len(dens)
+    groups = {}
+    for i, d in enumerate(dens):
+        groups.setdefault(d, []).append(i)
+    at, quots, rems, ds = [], [], [], []  # the entries with a remainder
+    for d, rows in groups.items():
+        quot, rem = ((block[:, rows], block[:, rows, :, :0]) if d.is_one()
+                     else _rows_divmod(ctx, block[:, rows], d.arr))
+        frac = rem.any(axis=(0, 3)).tolist()
+        nonzero = quot.any(axis=(0, 3)).tolist()
+        for n, i in enumerate(rows):
+            out[i] = [None if frac[n][j] else
+                      RatFunc._reduced(Poly(ctx, quot[:, n, j]), one)
+                      if nonzero[n][j] else zero for j in range(cols)]
+            for j in (j for j in range(cols) if frac[n][j]):
+                at.append((i, j))
+                quots.append(quot[:, n, j])
+                rems.append(rem[:, n, j])
+                ds.append(d.arr)
+    if at:
+        num, den = _lowest_fractions(ctx, _stacked(rems, 1), _stacked(ds, 1))
+        prod = _batch_product(ctx, _stacked(quots, 1), den)
+        num = (_padded(num, prod.shape[-1]) + prod) % ctx.p
+        for n, (i, j) in enumerate(at):
+            out[i][j] = RatFunc._reduced(Poly(ctx, num[:, n]),
+                                         Poly(ctx, den[:, n]))
+    return tuple(map(tuple, out))
 
 
 class Matrix:
-    """Immutable dense matrix over F_q(T)."""
+    """Immutable dense matrix over F_q(T), held as one block of
+    polynomial numerators over one monic denominator per row.
 
-    __slots__ = ("ctx", "rows", "cols", "entries")
+    ``block`` is a read-only int64 array, coordinate x row x column x
+    power of T, with entries in [0, p) and a nonzero last T-column, and
+    row i of the matrix is block[:, i] / dens[i].  A row need not be in
+    lowest terms: equality compares the cross products
+    block[:, i] * dens'[i] and block'[:, i] * dens[i].  ``entries``, every
+    entry as a reduced RatFunc, is built on first read.
+    """
+
+    __slots__ = ("ctx", "rows", "cols", "block", "dens", "_entries")
 
     def __init__(self, ctx, entries):
-        entries = tuple(tuple(_as_ratfunc(ctx, e) for e in row)
-                        for row in entries)
-        self.ctx = ctx
-        self.rows = len(entries)
-        self.cols = len(entries[0]) if entries else 0
-        if any(len(row) != self.cols for row in entries):
+        entries = [[_as_ratfunc(ctx, e) for e in row] for row in entries]
+        cols = len(entries[0]) if entries else 0
+        if any(len(row) != cols for row in entries):
             raise ValueError("ragged rows")
-        self.entries = entries
+        cleared = [_cleared_row(ctx, row) for row in entries]
+        block = np.zeros((ctx.r, len(entries), cols, max(
+            [n.arr.shape[1] for nums, _ in cleared for n in nums],
+            default=0)), dtype=np.int64)
+        for i, (nums, _) in enumerate(cleared):
+            for j, n in enumerate(nums):
+                block[:, i, j, :n.arr.shape[1]] = n.arr
+        self._set(ctx, block, [den for _, den in cleared])
+
+    @classmethod
+    def _of(cls, ctx, block, dens):
+        """The matrix with rows block[:, i] / dens[i], for a block with
+        entries in [0, p) and monic denominators."""
+        self = object.__new__(cls)
+        self._set(ctx, block, dens)
+        return self
+
+    def _set(self, ctx, block, dens):
+        block = _trimmed(block)
+        block.setflags(write=False)
+        self.ctx = ctx
+        _, self.rows, self.cols, _ = block.shape
+        self.block = block
+        self.dens = tuple(dens)
+        self._entries = None
+
+    @property
+    def entries(self):
+        """The entries as a tuple of rows of RatFunc, built on first read."""
+        if self._entries is None:
+            self._entries = _reduced_entries(self.ctx, self.block, self.dens)
+        return self._entries
 
     def row(self, i):
         return self.entries[i]
+
+    def _den_block(self):
+        # the row denominators as a block, one column
+        return np.stack([_padded(d.arr, max(e.arr.shape[1] for e in self.dens))
+                         for d in self.dens], axis=1)[:, :, None]
 
     def rref(self):
         """Reduced row echelon form with unit pivots; returns the echelon
         matrix and the tuple of pivot columns.
 
-        The elimination is fraction-free.  Each row is first multiplied by
-        the lcm of its denominators, which leaves the reduced form
-        unchanged, so the work runs over F_q[T].  Gauss-Jordan elimination
-        then replaces every row i other than the pivot row by
-        (p*row_i - a_i*row_p) / p_prev, where p is the pivot, a_i the
-        entry of row i in the pivot column and p_prev the previous pivot
-        (1 at the first step); by Sylvester's identity (Bareiss, Math.
-        Comp. 22, 1968) every entry is then a minor of the scaled matrix,
-        so each division is exact.  Finally each pivot row is divided by its pivot,
-        one reduced fraction per entry.  A matrix has exactly one reduced
-        row echelon form, so the result equals elimination over F_q(T).
+        Scaling a row by its denominator leaves the reduced form
+        unchanged, so the elimination runs fraction-free on ``block``
+        (``_fraction_free``).  Every pivot row then holds the last pivot
+        d in its pivot column, so the echelon form is those rows over d,
+        made monic; its entries are reduced when read.  A matrix has
+        exactly one reduced row echelon form, so the result equals
+        elimination over F_q(T).
         """
         ctx = self.ctx
-        rows = [_cleared_row(ctx, row)[0] for row in self.entries]
-        pivots = []
-        prev = Poly.one(ctx)
-        pr = 0
-        for pc in range(self.cols):
-            if pr == len(rows):
-                break
-            hit = next((i for i in range(pr, len(rows))
-                        if not rows[i][pc].is_zero()), None)
-            if hit is None:
-                continue
-            rows[pr], rows[hit] = rows[hit], rows[pr]
-            prow = rows[pr]
-            p = prow[pc]
-            for i, row in enumerate(rows):
-                if i != pr:
-                    f = row[pc]
-                    rows[i] = [_bareiss(p, x, f, y, prev)
-                               for x, y in zip(row, prow)]
-            prev = p
-            pivots.append(pc)
-            pr += 1
-        zero = RatFunc.constant(ctx, 0)
-        one = RatFunc.constant(ctx, 1)
-        out = []
-        for i, row in enumerate(rows):
-            if i < pr:
-                p = row[pivots[i]]
-                out.append([zero if x.is_zero() else one if j == pivots[i]
-                            else RatFunc(x, p) for j, x in enumerate(row)])
-            else:
-                out.append([zero] * self.cols)
-        return Matrix(ctx, out), tuple(pivots)
+        work, pivots = _fraction_free(ctx, self.block)
+        dens = [Poly.one(ctx)] * self.rows
+        if pivots:
+            d = _trimmed(work[:, 0, pivots[0]])
+            inv = ctx.element(d[:, -1].tolist()).inverse().coords
+            work = _times_coords(ctx, inv, work)  # the other rows are zero
+            dens[:len(pivots)] = ([Poly(ctx, _times_coords(ctx, inv, d))]
+                                  * len(pivots))
+        return Matrix._of(ctx, work, dens), pivots
 
     def rank(self):
         return len(self.rref()[1])
 
     def __eq__(self, other):
-        return (isinstance(other, Matrix) and self.rows == other.rows
-                and self.cols == other.cols
-                and self.entries == other.entries)
+        if not (isinstance(other, Matrix) and self.ctx.key == other.ctx.key
+                and self.rows == other.rows and self.cols == other.cols):
+            return False
+        if not self.rows:
+            return True
+        return np.array_equal(
+            _trimmed(_batch_product(self.ctx, self.block, other._den_block())),
+            _trimmed(_batch_product(self.ctx, other.block, self._den_block())))
 
     def __hash__(self):
-        return hash((self.rows, self.cols, self.entries))
+        return hash((self.ctx.key, self.entries))
 
     def __repr__(self):
         body = "; ".join(", ".join(str(e) for e in row)
@@ -1192,21 +1402,24 @@ def left_kernel(mat):
 
     The returned rows are in reduced row echelon form, each leading entry
     equal to 1, so the output is deterministic.  An empty list means the
-    kernel is trivial.
+    kernel is trivial.  With n_i the numerators of row i and d_i its
+    denominator, v M = 0 exactly when w = (v_i / d_i) has w N = 0: the
+    fraction-free elimination of the transposed numerator block gives
+    that kernel over F_q[T], with w_j = d, the last pivot, at each free
+    row index j, before the basis is scaled back by the d_i and reduced.
     """
     ctx = mat.ctx
-    reduced, pivots = Matrix(ctx, list(zip(*mat.entries))).rref()
+    work, pivots = _fraction_free(ctx, mat.block.swapaxes(1, 2))
     free = [j for j in range(mat.rows) if j not in pivots]
     if not free:
         return []
-    zero = RatFunc.constant(ctx, 0)
-    one = RatFunc.constant(ctx, 1)
-    basis = []
-    for j in free:
-        v = [zero] * mat.rows
-        v[j] = one
+    d = _trimmed(work[:, 0, pivots[0]]) if pivots else Poly.one(ctx).arr
+    basis = np.zeros((ctx.r, len(free), mat.rows,
+                      max(d.shape[-1], work.shape[-1])), dtype=np.int64)
+    for f, j in enumerate(free):
+        basis[:, f, j, :d.shape[-1]] = d
         for idx, pc in enumerate(pivots):
-            v[pc] = -reduced.entries[idx][j]
-        basis.append(v)
-    echelon, _ = Matrix(ctx, basis).rref()
-    return [list(echelon.row(i)) for i in range(len(basis))]
+            basis[:, f, pc, :work.shape[-1]] = -work[:, idx, j] % ctx.p
+    basis = _batch_product(ctx, basis, mat._den_block()[:, :, 0][:, None])
+    echelon, _ = Matrix._of(ctx, basis, [Poly.one(ctx)] * len(free)).rref()
+    return [list(echelon.row(i)) for i in range(len(free))]

@@ -12,14 +12,24 @@ constructions of the full relation space are provided:
 
 Equality of the two spans, in normal form on the last N + 1 coordinates,
 is the strongest single check this package performs.
+
+The report works on matrix blocks (see ``fieldpoly.Matrix``): the dual
+matrix is read from the numerator blocks of the basis series, and the
+unitriangular check, the back-substitution kernel, the span check and
+the annihilation check are products of polynomial blocks summed over
+the inner index.  RatFunc objects are built only for what is printed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import EmptySpace, NotUnitriangular
-from .fieldpoly import Matrix, RatFunc, left_kernel
+import numpy as np
+
+from .errors import EmptySpace, NotUnitriangular, PrecisionExceeded
+from .fieldpoly import (Matrix, Poly, RatFunc, _batch_product, _cleared_row,
+                        _lowest_terms, _padded, _stacked, _trimmed,
+                        left_kernel)
 from .forms import (
     FormExpr,
     FormSpec,
@@ -39,8 +49,8 @@ def dual_coeff(f, i, l):
 
 def psi_apply(cvec, f, l):
     """Evaluate sum_i c_i a_f(i(q-1)+l) for a coefficient vector."""
-    return _dot(RatFunc.constant(f.ctx, 0), cvec,
-                [dual_coeff(f, i, l) for i in range(len(cvec))])
+    return sum((c * dual_coeff(f, i, l) for i, c in enumerate(cvec)),
+               RatFunc.constant(f.ctx, 0))
 
 
 @dataclass(frozen=True)
@@ -95,11 +105,9 @@ def compute_b_vector(ctx, k, l, N, g, prec=None):
     expr = (FormExpr.generator(ctx, "h") * g
             * FormExpr.generator(ctx, "Delta_T") ** (-rN)
             * FormExpr.generator(ctx, "E_T") ** (-2 * l))
-    series = expand(expr, prec)
-    q = ctx.q
-    coeffs = tuple(series.coeff(-i * (q - 1) + 1 - l)
-                   for i in range(rN + 1))
-    return RelationVector(spec, N, coeffs)
+    exps = 1 - l - (ctx.q - 1) * np.arange(rN + 1)
+    return RelationVector(spec, N, _coefficients(ctx, [expand(expr, prec)],
+                                                 exps).entries[0])
 
 
 def phi(ctx, k, l, N, prec=None):
@@ -115,9 +123,41 @@ def phi(ctx, k, l, N, prec=None):
                    rows)
 
 
+def _coefficients(ctx, series, exps):
+    """The coefficients of each series at the exponents ``exps``, read from
+    its numerator block: one matrix row per series, over the series'
+    denominator."""
+    top = int(exps.max())
+    block = np.zeros((ctx.r, len(series), exps.size,
+                      max(f.block.shape[2] for f in series)), dtype=np.int64)
+    for j, f in enumerate(series):
+        if top >= f.prec:
+            raise PrecisionExceeded(
+                f"coefficient of u^{top} requested, precision is {f.prec}")
+        at = np.searchsorted(f.exps, exps)
+        hit = at < f.exps.size
+        hit[hit] = f.exps[at[hit]] == exps[hit]
+        block[:, j, hit, :f.block.shape[2]] = f.block[:, at[hit]]
+    return Matrix._of(ctx, block, [f.den for f in series])
+
+
+def _over_common_den(ctx, block, dens):
+    """The rows block[:, i] / dens[i] of a matrix over the lcm D of the
+    denominators: the numerator block times D / dens[i] row by row, and
+    D."""
+    one = Poly.one(ctx)
+    scales, lcm = _cleared_row(ctx, [RatFunc._reduced(one, d) for d in dens])
+    if lcm.is_one():
+        return block, lcm
+    scales = _stacked([x.arr for x in scales], axis=1)
+    return _trimmed(_batch_product(ctx, block, scales[:, :, None])), lcm
+
+
 def _dual_matrix(ctx, k, l, N, prec=None):
     """The coefficient matrix [a_i*(f_j)], i = 0 .. r+N+1, of the
-    monomial basis f_j of M_{k,l}."""
+    monomial basis f_j of M_{k,l}, read from the numerator blocks of the
+    basis series; its rows are in lowest terms, so that a row is
+    integral exactly when its denominator is 1."""
     spec = FormSpec(ctx, k, l)
     if spec.dim == 0:
         raise EmptySpace(f"M_{{{k},{l}}} is zero over F_{ctx.q}")
@@ -125,9 +165,15 @@ def _dual_matrix(ctx, k, l, N, prec=None):
     q = ctx.q
     if prec is None:
         prec = rN * (q - 1) + l + q
-    series = basis_series(ctx, k, l, prec)
-    rows = [[dual_coeff(f, i, l) for f in series] for i in range(rN + 1)]
-    return Matrix(ctx, rows)
+    cols = _coefficients(ctx, basis_series(ctx, k, l, prec),
+                         np.arange(rN + 1) * (q - 1) + l)
+    rows, den = _over_common_den(ctx, cols.block, cols.dens)
+    rows, dens = rows.swapaxes(1, 2), [den] * (rN + 1)
+    if not den.is_one():
+        rows, dens = zip(*(_lowest_terms(ctx, row, den)
+                           for row in rows.swapaxes(0, 1)))
+        rows = _stacked(rows, axis=1)
+    return Matrix._of(ctx, rows, dens)
 
 
 def kernel_oracle(ctx, k, l, N, prec=None):
@@ -142,63 +188,83 @@ def spans_equal(ctx, rows_a, rows_b):
         not rows_a or Matrix(ctx, rows_a).rref() == Matrix(ctx, rows_b).rref())
 
 
-def _dot(zero, a, b):
-    """sum_i a_i b_i over F_q(T), starting at ``zero``; skips zero terms."""
-    return sum((x * y for x, y in zip(a, b)
-                if not (x.is_zero() or y.is_zero())), zero)
-
-
 def _unitriangular(dual, r):
     """Rows 0 .. r of M are integral with unit diagonal and zeros above it
     (criterion 8)."""
-    return all(x.is_integral() and (x.is_one() if i == c else
-                                    i > c or x.is_zero())
-               for i, row in enumerate(dual.entries[:r + 1])
-               for c, x in enumerate(row))
+    top = dual.block[:, :r + 1, :r + 1]
+    want = np.zeros(top.shape[:3] + (max(top.shape[3], 1),), dtype=np.int64)
+    want[0, range(r + 1), range(r + 1), 0] = 1
+    upper = np.triu(np.ones((r + 1, r + 1), dtype=bool))
+    return (all(d.is_one() for d in dual.dens[:r + 1])
+            and np.array_equal(_padded(top, want.shape[3])[:, upper],
+                               want[:, upper]))
+
+
+def _products_summed(ctx, a, b):
+    """sum_i a[:, ..., i] * b[:, ..., i] for two broadcasting blocks of
+    polynomials with the inner index i on axis -2, reduced."""
+    return _batch_product(ctx, a, b).sum(axis=-2) % ctx.p
 
 
 def _kernel_by_back_substitution(dual, r):
-    """The left kernel {v : v M = 0}: for each j > r, the v with v_j = 1
-    and 0 at the other indices above r.  M is unitriangular on rows 0 .. r
-    (``_unitriangular``), so v_c = -sum_{i>c} v_i M[i][c] for c = r .. 0
-    needs no division."""
-    ctx, m = dual.ctx, dual.entries
+    """The left kernel {v : v M = 0} as a numerator block W over one
+    denominator D: for each j > r, the row v = W[:, j - r - 1] / D with
+    v_j = 1 and 0 at the other indices above r.
+
+    M is unitriangular on rows 0 .. r (``_unitriangular``), so
+    v_c = -sum_{i>c} v_i M[i][c] for c = r .. 0 needs no division.  With
+    L = D M[r+1:] integral, column c of W is -L[:, c] minus the columns
+    i = c+1 .. r of W times M[i][c]: one block product per column.
+    """
+    ctx = dual.ctx
     if not _unitriangular(dual, r):
         raise NotUnitriangular(
             "the dual matrix is not unitriangular on its first r + 1 rows")
-    cols = list(zip(*m))
-    zero, one = RatFunc.constant(ctx, 0), RatFunc.constant(ctx, 1)
-    kern = []
-    for j in range(r + 1, len(m)):
-        v = [one if i == j else zero for i in range(len(m))]
-        for c in range(r, -1, -1):
-            v[c] = -_dot(zero, v[c + 1:], cols[c][c + 1:])
-        kern.append(v)
-    return kern
+    low, den = _over_common_den(ctx, dual.block[:, r + 1:], dual.dens[r + 1:])
+    cols = []  # columns r, r - 1, ... of W
+    for c in range(r, -1, -1):
+        terms = [low[:, :, c]]
+        if cols:
+            inner = _stacked(cols[::-1], axis=2)
+            terms.append(_products_summed(ctx, inner,
+                                          dual.block[:, None, c + 1:r + 1, c]))
+        cols.append(-_stacked(terms, axis=0).sum(axis=0) % ctx.p)
+    n = dual.rows - r - 1
+    ident = np.zeros((ctx.r, n, n, den.arr.shape[1]), dtype=np.int64)
+    ident[:, range(n), range(n)] = den.arr[:, None]
+    return _trimmed(_stacked(cols[::-1] + [ident[:, :, j] for j in range(n)],
+                             axis=2)), den
 
 
 def relation_report(ctx, k, l, N):
     """Full two-route report: phi rows, kernel basis, rank, span equality
     and exact annihilation of every basis form of M_{k,l}.
 
-    The kernel K is the identity on the last N + 1 coordinates, so the
-    spans agree when the phi rank is N + 1 = len(K) and each phi row b is
-    b[r+1:] K.  The phi echelon form, reduced for the rank, is then the
-    printed kernel; K is reduced only when the spans differ.
+    The kernel is W / D with W equal to D times the identity on the last
+    N + 1 coordinates, so the spans agree when the phi rank is N + 1 (the
+    kernel dimension) and each phi row b has D b = b[r+1:] W.  The phi
+    echelon form, reduced for the rank, is then the printed kernel; the
+    kernel is reduced only when the spans differ.  Annihilation is
+    sum_i b_i M[i][c] = 0 for every phi row b and column c of M, over
+    the common denominator of M.
     """
     bm = phi(ctx, k, l, N)
     dual = _dual_matrix(ctx, k, l, N)
     r = dual.cols - 1
-    kern = _kernel_by_back_substitution(dual, r)
-    echelon, pivots = bm.matrix().rref()
-    zero = RatFunc.constant(ctx, 0)
-    equal = len(pivots) == N + 1 == len(kern) and all(
-        row.c[c] == _dot(zero, row.c[r + 1:], [v[c] for v in kern])
-        for row in bm.rows for c in range(r + 1))
+    kern, den = _kernel_by_back_substitution(dual, r)
+    phim = bm.matrix()
+    echelon, pivots = phim.rref()
+    b = phim.block
+    lhs = _batch_product(ctx, b[:, :, :r + 1], den.arr[:, None, None])
+    rhs = _products_summed(ctx, b[:, :, None, r + 1:],
+                           kern[:, None, :, :r + 1].swapaxes(2, 3))
+    equal = (len(pivots) == N + 1 == kern.shape[1]
+             and np.array_equal(_trimmed(lhs), _trimmed(rhs)))
     if not equal:
-        echelon = Matrix(ctx, kern).rref()[0]
-    annihilates = all(_dot(zero, row.c, col).is_zero()
-                      for col in zip(*dual.entries) for row in bm.rows)
+        echelon = Matrix._of(ctx, kern, [den] * kern.shape[1]).rref()[0]
+    scaled, _ = _over_common_den(ctx, dual.block, dual.dens)
+    annihilates = not _products_summed(
+        ctx, b[:, :, None], scaled.swapaxes(1, 2)[:, None]).any()
     return {
         "q": ctx.q,
         "k": k,
@@ -209,7 +275,7 @@ def relation_report(ctx, k, l, N):
         "kernel": [[str(c) for c in v] for v in echelon.entries],
         "report": {
             "phi_rank": len(pivots),
-            "kernel_dim": len(kern),
+            "kernel_dim": kern.shape[1],
             "spans_equal": equal,
             "annihilates": annihilates,
         },

@@ -50,8 +50,8 @@ import numpy as np
 
 from .errors import MixedField, PrecisionExceeded, ZeroSeries
 from .fieldpoly import (FqElem, Poly, RatFunc, _as_ratfunc, _cleared_row,
-                        _convolve_mod, _frobenius_array, _poly_product,
-                        _power, _rows_divmod, _times_coords, _trimmed)
+                        _convolve_mod, _frobenius_array, _lowest_terms,
+                        _poly_product, _power, _trimmed)
 
 
 def _times(a, b):
@@ -71,18 +71,6 @@ def _stack(ctx, rows):
 def _gcd(exps):
     # gcd of the differences of an ascending exponent vector; 0 for one row
     return math.gcd(*(exps - exps[:1]).tolist())
-
-
-_ONES = {}
-
-
-def _one(ctx):
-    # the one denominator 1 that every integral series over ctx shares, so
-    # that equal denominators are mostly the same object
-    one = _ONES.get(ctx.key)
-    if one is None:
-        one = _ONES[ctx.key] = Poly.one(ctx)
-    return one
 
 
 class USeries:
@@ -145,16 +133,17 @@ class USeries:
             keep = block.any(axis=(0, 2))
             if not keep.all():
                 exps, block = exps[keep], block[:, keep]
-        if den is not _one(ctx) and den.is_one():
-            den = _one(ctx)
+        one = Poly.one(ctx)
+        if den is not one and den.is_one():
+            den = one
         if exps.size:
             block = _trimmed(block)
-            if den is not _one(ctx):
+            if den is not one:
                 block, den = _lowest_terms(ctx, block, den)
             low = int(exps[0])
         else:
             block = np.zeros((ctx.r, 0, 0), dtype=np.int64)
-            den = _one(ctx)
+            den = one
             low = min(low, prec - 1)
         exps.setflags(write=False)
         block.setflags(write=False)
@@ -174,11 +163,11 @@ class USeries:
     # -- constructors ---------------------------------------------------
     @classmethod
     def zero(cls, ctx, prec):
-        return cls._of(ctx, {}, _one(ctx), prec)
+        return cls._of(ctx, {}, Poly.one(ctx), prec)
 
     @classmethod
     def one(cls, ctx, prec, support_class=None):
-        one = _one(ctx)
+        one = Poly.one(ctx)
         return cls._of(ctx, {0: one}, one, prec, support_class=support_class)
 
     @classmethod
@@ -376,7 +365,7 @@ class USeries:
         ends = (nz.shape[1] - np.argmax(nz[:, ::-1], axis=1)).tolist()
         c, *a = [self.block[:, i, :n] for i, n in enumerate(ends)]
         a = list(zip(((self.exps[1:] - v) // gap).tolist(), a))
-        one = _one(ctx).arr
+        one = Poly.one(ctx).arr
         unit = c.shape == one.shape and c[0, 0] == 1 and not c[1:].any()
         cpow = [one]  # c^0 .. c^rows, each built once
         if not unit:
@@ -413,7 +402,7 @@ class USeries:
         return USeries._make(ctx, -v + gap * np.array(list(b)),
                              _stack(ctx, list(b.values())),
                              Poly(ctx, cpow[top + 1]) if not unit
-                             else _one(ctx), -v, rel - v, sc, sums=False)
+                             else Poly.one(ctx), -v, rel - v, sc, sums=False)
 
     def __pow__(self, n):
         """Integer power: p-th powers by Frobenius, the rest by binary
@@ -536,26 +525,6 @@ class USeries:
 
     def __repr__(self):
         return f"USeries({self}, q={self.ctx.q})"
-
-
-def _lowest_terms(ctx, block, den):
-    """Block and denominator with their common factor divided out and the
-    denominator made monic.  The gcd runs on the remainders of the rows
-    mod den, the only row Polys a kernel builds."""
-    quot, rem = _rows_divmod(ctx, block, den.arr)
-    g = den
-    for i in np.flatnonzero(rem.any(axis=(0, 2))).tolist():
-        if g.degree < 1:
-            break
-        g = g.gcd(Poly(ctx, rem[:, i]))
-    if g.degree > 0:
-        block = _trimmed(quot if g == den else
-                         _rows_divmod(ctx, block, g.arr)[0])
-        den = den // g
-    if not den.lead.is_one():
-        inv = den.lead.inverse()
-        den, block = den._scale(inv), _times_coords(ctx, inv.coords, block)
-    return block, den
 
 
 def _binom_mod(n, k, p):

@@ -483,6 +483,42 @@ def test_ratfunc_integrality_flag():
     assert RatFunc(T * (T + 1), T).is_integral()
 
 
+@pytest.mark.parametrize("ctx", FIELDS, ids=lambda c: f"q{c.q}")
+def test_ratfunc_pow_matches_repeated_mul(ctx):
+    rng = random.Random(606)
+    T = Poly.T(ctx)
+    xs = [RatFunc(T + 1, T * T), RatFunc(Poly.constant(ctx, 2), T + 2)]
+    while len(xs) < 6:
+        num, den = rand_poly(ctx, rng, 3), rand_poly(ctx, rng, 3)
+        if not (num.is_zero() or den.is_zero()):
+            xs.append(RatFunc(num, den))  # leads not monic in general
+    for x in xs:
+        up, down = RatFunc.constant(ctx, 1), RatFunc.constant(ctx, 1)
+        for n in range(8):
+            assert x ** n == up and x ** -n == down
+            assert (x ** -n).den.is_monic()
+            up, down = up * x, down / x
+    zero = RatFunc.constant(ctx, 0)
+    assert zero ** 0 == RatFunc.constant(ctx, 1)
+    assert zero ** 3 == zero
+    with pytest.raises(DivisionByZero):
+        zero ** -1
+
+
+def test_constants_are_shared_per_field():
+    for ctx in FIELDS:
+        again = make_field(ctx.p, ctx.r)  # an equal field, another object
+        assert Poly.one(again) is Poly.one(ctx) is Poly.constant(ctx, 1)
+        assert Poly.zero(again) is Poly.zero(ctx) is Poly.constant(ctx, 0)
+        assert RatFunc.constant(ctx, 0) is RatFunc.constant(again, ctx.p)
+        assert (RatFunc.constant(ctx, 1) is RatFunc.constant(ctx, ctx.one())
+                is RatFunc.constant(again, 1 - ctx.p))
+        assert RatFunc.constant(ctx, 1).den is Poly.one(ctx)
+        assert not Poly.one(ctx).arr.flags.writeable
+        two = RatFunc.constant(ctx, 2)
+        assert two == RatFunc(Poly.constant(ctx, 2)) and two.is_integral()
+
+
 # ---------------------------------------------------------------------------
 # rendering and parsing
 
@@ -597,6 +633,43 @@ def test_rref_canonical():
     assert all(e.is_zero() for e in red.entries[1])
 
 
+def rref_entrywise(m):
+    """Fraction-free Gauss-Jordan elimination one entry at a time, each
+    entry a Poly: the elimination before Matrix.rref ran on blocks, kept
+    as its oracle.  Rows are cleared of their denominators, every row
+    other than the pivot row becomes (p*row_i - a_i*row_p) / p_prev, and
+    the pivot rows are divided by their pivots entry by entry."""
+    ctx = m.ctx
+
+    def step(p, x, f, y, prev):
+        num = p * x - f * y
+        quo, rem = divmod(num, prev)
+        assert rem.is_zero()
+        return quo
+
+    rows = [fieldpoly._cleared_row(ctx, row)[0] for row in m.entries]
+    pivots, prev = [], Poly.one(ctx)
+    for pc in range(m.cols):
+        pr = len(pivots)
+        hit = next((i for i in range(pr, len(rows))
+                    if not rows[i][pc].is_zero()), None)
+        if hit is None:
+            continue
+        rows[pr], rows[hit] = rows[hit], rows[pr]
+        p = rows[pr][pc]
+        rows = [row if i == pr else
+                [step(p, x, row[pc], y, prev) for x, y in zip(row, rows[pr])]
+                for i, row in enumerate(rows)]
+        prev = p
+        pivots.append(pc)
+        if len(pivots) == len(rows):
+            break
+    out = [[RatFunc(x, row[pivots[i]]) for x in row] if i < len(pivots)
+           else [RatFunc.constant(ctx, 0)] * m.cols
+           for i, row in enumerate(rows)]
+    return Matrix(ctx, out), tuple(pivots)
+
+
 def rref_oracle(m):
     """Gauss-Jordan elimination over F_q(T), every entry a reduced
     fraction: the elimination Matrix.rref replaced, kept as its oracle."""
@@ -623,6 +696,25 @@ def rref_oracle(m):
         if pr == len(rows):
             break
     return Matrix(m.ctx, rows), tuple(pivots)
+
+
+def rand_ratfunc(ctx, rng, maxdeg=3):
+    den = rand_poly(ctx, rng, 2)
+    return RatFunc(rand_poly(ctx, rng, maxdeg),
+                   Poly.one(ctx) if den.is_zero() else den)
+
+
+def assert_same_echelon(m):
+    """The block rref of m equals both oracles: pivots, matrix and every
+    reduced entry, each in lowest terms with a monic denominator."""
+    red, piv = m.rref()
+    for want, want_piv in (rref_entrywise(m), rref_oracle(m)):
+        assert piv == want_piv
+        assert red == want and hash(red) == hash(want)
+        assert red.entries == want.entries
+    for x in (x for row in red.entries for x in row):
+        assert x.den.is_monic() and x.num.gcd(x.den).is_one()
+    assert all(red.entries[i][c].is_one() for i, c in enumerate(piv))
 
 
 @st.composite
@@ -666,13 +758,50 @@ def matrix_st(draw):
 @example(Matrix(F5, []))
 @example(Matrix(F9, [[], [], []]))
 def test_rref_matches_field_oracle(m):
-    red, piv = m.rref()
-    want_red, want_piv = rref_oracle(m)
-    assert piv == want_piv
-    assert red == want_red
+    assert_same_echelon(m)
     kern = left_kernel(m)
     if kern:
         assert Matrix(m.ctx, kern).rref()[0].entries == tuple(map(tuple, kern))
+
+
+@pytest.mark.parametrize("ctx", FIELDS, ids=lambda c: f"q{c.q}")
+def test_block_rref_matches_entrywise_elimination(ctx):
+    # non-monic pivots, a zero column, rank deficiency, rows over
+    # different denominators and empty matrices; random ones are drawn by
+    # test_rref_matches_field_oracle
+    T = Poly.T(ctx)
+    assert_same_echelon(Matrix(ctx, [[2 * T + 1, T * T], [T, 2]]))
+    assert_same_echelon(Matrix(ctx, [[0, T, 1], [0, 1, T + 1]]))
+    assert_same_echelon(Matrix(ctx, [[T, 1, T], [2 * T, 2, 2 * T]]))
+    assert_same_echelon(Matrix(ctx, [[RatFunc(T + 2, T), 1],
+                                     [RatFunc(Poly.one(ctx), T + 1), T]]))
+    assert_same_echelon(Matrix(ctx, []))
+    assert_same_echelon(Matrix(ctx, [[], [], []]))
+
+
+def test_block_rref_near_the_int64_bound():
+    # at p = 2^31 - 1 a residue product is about 2^62, so every sum of
+    # products in the elimination and in the reduction must stay exact
+    ctx = make_field((1 << 31) - 1, 1)
+    rng = random.Random(911)
+    for _ in range(10):
+        assert_same_echelon(Matrix(ctx, [[rand_ratfunc(ctx, rng)
+                                          for _ in range(3)]
+                                         for _ in range(3)]))
+
+
+def test_matrix_rows_need_not_be_in_lowest_terms():
+    for ctx in FIELDS:
+        T = Poly.T(ctx)
+        m = Matrix(ctx, [[RatFunc(T, T + 1), 1], [T, RatFunc(Poly.one(ctx),
+                                                             T)]])
+        # every row times (T + 2) / (T + 2): the same matrix
+        f = (T + 2).arr
+        other = Matrix._of(ctx, fieldpoly._batch_product(
+            ctx, m.block, f[:, None, None]), [d * (T + 2) for d in m.dens])
+        assert other == m and hash(other) == hash(m)
+        assert other.entries == m.entries
+        assert other != Matrix(ctx, [[T, 1], [T, 1]])
 
 
 def poly_str_oracle(f):

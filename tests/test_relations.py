@@ -165,20 +165,52 @@ def spaces(ctx, r_max=5):
                 yield r, k, l
 
 
+def row_times(v, m):
+    """The vector v M, entry by entry over F_q(T)."""
+    return [sum((v[i] * m.entries[i][c] for i in range(m.rows)),
+                RatFunc.constant(m.ctx, 0)) for c in range(m.cols)]
+
+
 @pytest.mark.parametrize("ctx", (F3, F5, F9), ids=lambda c: f"q{c.q}")
 def test_back_substitution_kernel_matches_oracle(ctx):
     for r, k, l in spaces(ctx):
         for N in range(4):
             dual = relations._dual_matrix(ctx, k, l, N)
-            kern = relations._kernel_by_back_substitution(dual, r)
-            assert len(kern) == N + 1
-            for j, v in enumerate(kern):
+            block, den = relations._kernel_by_back_substitution(dual, r)
+            kern = Matrix._of(ctx, block, [den] * block.shape[1])
+            assert kern.rows == N + 1
+            for j, v in enumerate(kern.entries):
                 # the identity on the last N + 1 coordinates
-                assert v[r + 1:] == [RatFunc.constant(ctx, int(i == j))
-                                     for i in range(N + 1)]
-            red = Matrix(ctx, kern).rref()[0]
+                assert v[r + 1:] == tuple(RatFunc.constant(ctx, int(i == j))
+                                          for i in range(N + 1))
+                # v M = 0
+                assert all(x.is_zero() for x in row_times(v, dual))
+            red = kern.rref()[0]
             assert red.entries == tuple(map(tuple, kernel_oracle(ctx, k, l,
                                                                  N)))
+
+
+@pytest.mark.parametrize("ctx", (F3, F5, F9), ids=lambda c: f"q{c.q}")
+def test_dual_matrix_matches_entrywise_reading(ctx, monkeypatch):
+    # the block read equals [a_i*(f_j)] built one coefficient at a time,
+    # also when basis series carry denominators
+    T = Poly.T(ctx)
+    real = relations.basis_series
+    for scales in ((), (RatFunc(Poly.one(ctx), T + 1),
+                        RatFunc(T, T * T + 2))):
+        monkeypatch.setattr(relations, "basis_series", lambda *args: [
+            f.scale(scales[j]) if j < len(scales) else f
+            for j, f in enumerate(real(*args))])
+        for r, k, l in spaces(ctx, 2):
+            rN = r + 2
+            series = relations.basis_series(
+                ctx, k, l, rN * (ctx.q - 1) + l + ctx.q)
+            want = Matrix(ctx, [[dual_coeff(f, i, l) for f in series]
+                                for i in range(rN + 1)])
+            dual = relations._dual_matrix(ctx, k, l, 1)
+            assert dual == want and dual.entries == want.entries
+            assert dual.dens == want.dens  # rows in lowest terms
+            assert relations._unitriangular(dual, r) == (not scales)
 
 
 def _perturbed_phi(monkeypatch, bump):
@@ -207,6 +239,60 @@ def test_report_when_a_phi_row_leaves_the_kernel(ctx, k, l, N, monkeypatch):
     assert rep["report"]["kernel_dim"] == N + 1
     assert rep["kernel"] == [[str(x) for x in v]
                              for v in kernel_oracle(ctx, k, l, N)]
+
+
+@pytest.mark.parametrize("ctx,k,l,N", ((F3, 4, 1, 1), (F5, 6, 1, 2),
+                                       (F9, 18, 1, 1)),
+                         ids=("q3", "q5", "q9"))
+def test_report_when_a_phi_row_is_not_integral(ctx, k, l, N, monkeypatch):
+    # a 1/T entry gives the phi rows a denominator: the span and
+    # annihilation checks run over it, and the printed kernel is the
+    # kernel's own echelon form
+    _perturbed_phi(monkeypatch, lambda ctx, c: (
+        c[0] + RatFunc(Poly.one(ctx), Poly.T(ctx)),) + c[1:])
+    rep = relation_report(ctx, k, l, N)
+    assert rep["report"]["spans_equal"] is False
+    assert rep["report"]["annihilates"] is False
+    assert rep["report"]["phi_rank"] == rep["report"]["kernel_dim"] == N + 1
+    assert rep["kernel"] == [[str(x) for x in v]
+                             for v in kernel_oracle(ctx, k, l, N)]
+    assert any("/" in b for b in rep["phi"][-1]["b"])
+
+
+@pytest.mark.parametrize("ctx,k,l,N", ((F3, 4, 1, 1), (F5, 6, 1, 2),
+                                       (F9, 18, 1, 1)),
+                         ids=("q3", "q5", "q9"))
+def test_report_over_a_dual_matrix_with_a_denominator(ctx, k, l, N,
+                                                      monkeypatch):
+    # the last row of M divided by T + 1 and the last coordinate of every
+    # phi row multiplied by it: the same relations, now with the kernel,
+    # span and annihilation checks over a common denominator
+    f = RatFunc(Poly.T(ctx) + 1)
+    real_dual, real_phi = relations._dual_matrix, relations.phi
+
+    def fake_dual(*args):
+        rows = [list(row) for row in real_dual(*args).entries]
+        rows[-1] = [x / f for x in rows[-1]]
+        return Matrix(ctx, rows)
+
+    def fake_phi(ctx, k, l, N, prec=None):
+        bm = real_phi(ctx, k, l, N, prec)
+        rows = tuple(RelationVector(bm.spec, N, row.c[:-1] + (row.c[-1] * f,))
+                     for row in bm.rows)
+        return BMatrix(bm.spec, N, bm.labels, rows)
+
+    monkeypatch.setattr(relations, "_dual_matrix", fake_dual)
+    monkeypatch.setattr(relations, "phi", fake_phi)
+    rep = relation_report(ctx, k, l, N)
+    assert rep["report"] == {"phi_rank": N + 1, "kernel_dim": N + 1,
+                             "spans_equal": True, "annihilates": True}
+    assert rep["kernel"] == [[str(x) for x in v]
+                             for v in kernel_oracle(ctx, k, l, N)]
+    # and a phi row that no longer matches is seen over the denominator
+    monkeypatch.setattr(relations, "phi", real_phi)
+    rep = relation_report(ctx, k, l, N)
+    assert not rep["report"]["spans_equal"]
+    assert not rep["report"]["annihilates"]
 
 
 def test_report_when_phi_loses_rank(monkeypatch):
