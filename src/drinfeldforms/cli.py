@@ -2,8 +2,8 @@
 
 Commands: expand, dim, basis, congruence, corollary, relations, residue,
 selftest.  Exit codes: 0 everything verified, 1 a mathematical check
-failed, 2 usage or parse error, 3 precision error.  Output is fully
-deterministic; repeated invocations are byte-identical.
+failed, 2 usage or parse error, 3 precision error, 4 out of memory.
+Output is fully deterministic; repeated invocations are byte-identical.
 """
 
 from __future__ import annotations
@@ -283,6 +283,10 @@ def main(argv=None):
     except DrinfeldError as exc:
         print(f"internal check failed: {exc}", file=sys.stderr)
         return 2
+    except MemoryError:  # numpy's _ArrayMemoryError included
+        print("error: out of memory; the request is too large",
+              file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

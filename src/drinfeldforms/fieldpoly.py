@@ -738,24 +738,23 @@ class Poly:
     def __str__(self):
         if self.is_zero():
             return "0"
-        parts = []
-        for j, col in reversed(list(enumerate(self.arr.T.tolist()))):
-            if not any(col):
+        # one code per column; an FqElem only for codes outside F_p
+        ctx, parts = self.ctx, []
+        for j, code in reversed(list(enumerate((ctx._ppow @ self.arr)
+                                               .tolist()))):
+            if not code:
                 continue
-            c = self.ctx.element(col)
+            c = str(code) if code < ctx.p else str(FqElem(ctx, code))
             if j == 0:
-                s = str(c)
-                if "+" in s:
-                    s = f"({s})"
-                parts.append(s)
+                parts.append(f"({c})" if "+" in c else c)
+                continue
+            tp = "T" if j == 1 else f"T^{j}"
+            if code == 1:
+                parts.append(tp)
+            elif code < ctx.p:
+                parts.append(f"{c}*{tp}")
             else:
-                tp = "T" if j == 1 else f"T^{j}"
-                if c.is_one():
-                    parts.append(tp)
-                elif c.in_prime_field():
-                    parts.append(f"{c.code}*{tp}")
-                else:
-                    parts.append(f"({c})*{tp}")
+                parts.append(f"({c})*{tp}")
         return " + ".join(parts)
 
     def __repr__(self):

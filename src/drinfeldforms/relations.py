@@ -7,17 +7,18 @@ constructions of the full relation space are provided:
 
 * the principal parts of h g / (Delta_T^(r+N+1) E_T^(2l)) as g runs over
   a basis of M_{N(q-1)+2l, l} (the image of the isomorphism phi), and
-* the left kernel of the transposed coefficient matrix [a_i*(f_j)] of a
-  basis of M_{k,l}, by back-substitution (no residue theory).
+* the left kernel of the transposed coefficient matrix M = [a_i*(f_j)]
+  of a basis of M_{k,l} (no residue theory).
 
-Equality of the two spans, in normal form on the last N + 1 coordinates,
-is the strongest single check this package performs.
+M is unitriangular on its first r + 1 rows (checked at run time), so
+its left kernel has dimension N + 1, and the two spans agree exactly
+when every phi row annihilates M and the phi rank is N + 1: the
+strongest single check this package performs.
 
 The report works on matrix blocks (see ``fieldpoly.Matrix``): the dual
 matrix is read from the numerator blocks of the basis series, and the
-unitriangular check, the back-substitution kernel, the span check and
-the annihilation check are products of polynomial blocks summed over
-the inner index.  RatFunc objects are built only for what is printed.
+unitriangular check and the annihilation check are products of
+polynomial blocks.  RatFunc objects are built only for what is printed.
 """
 
 from __future__ import annotations
@@ -200,71 +201,35 @@ def _unitriangular(dual, r):
                                want[:, upper]))
 
 
-def _products_summed(ctx, a, b):
-    """sum_i a[:, ..., i] * b[:, ..., i] for two broadcasting blocks of
-    polynomials with the inner index i on axis -2, reduced."""
-    return _batch_product(ctx, a, b).sum(axis=-2) % ctx.p
-
-
-def _kernel_by_back_substitution(dual, r):
-    """The left kernel {v : v M = 0} as a numerator block W over one
-    denominator D: for each j > r, the row v = W[:, j - r - 1] / D with
-    v_j = 1 and 0 at the other indices above r.
-
-    M is unitriangular on rows 0 .. r (``_unitriangular``), so
-    v_c = -sum_{i>c} v_i M[i][c] for c = r .. 0 needs no division.  With
-    L = D M[r+1:] integral, column c of W is -L[:, c] minus the columns
-    i = c+1 .. r of W times M[i][c]: one block product per column.
-    """
-    ctx = dual.ctx
-    if not _unitriangular(dual, r):
-        raise NotUnitriangular(
-            "the dual matrix is not unitriangular on its first r + 1 rows")
-    low, den = _over_common_den(ctx, dual.block[:, r + 1:], dual.dens[r + 1:])
-    cols = []  # columns r, r - 1, ... of W
-    for c in range(r, -1, -1):
-        terms = [low[:, :, c]]
-        if cols:
-            inner = _stacked(cols[::-1], axis=2)
-            terms.append(_products_summed(ctx, inner,
-                                          dual.block[:, None, c + 1:r + 1, c]))
-        cols.append(-_stacked(terms, axis=0).sum(axis=0) % ctx.p)
-    n = dual.rows - r - 1
-    ident = np.zeros((ctx.r, n, n, den.arr.shape[1]), dtype=np.int64)
-    ident[:, range(n), range(n)] = den.arr[:, None]
-    return _trimmed(_stacked(cols[::-1] + [ident[:, :, j] for j in range(n)],
-                             axis=2)), den
-
-
 def relation_report(ctx, k, l, N):
     """Full two-route report: phi rows, kernel basis, rank, span equality
     and exact annihilation of every basis form of M_{k,l}.
 
-    The kernel is W / D with W equal to D times the identity on the last
-    N + 1 coordinates, so the spans agree when the phi rank is N + 1 (the
-    kernel dimension) and each phi row b has D b = b[r+1:] W.  The phi
-    echelon form, reduced for the rank, is then the printed kernel; the
-    kernel is reduced only when the spans differ.  Annihilation is
-    sum_i b_i M[i][c] = 0 for every phi row b and column c of M, over
-    the common denominator of M.
+    ``_unitriangular`` makes the top (r + 1) x (r + 1) block of
+    M = [a_i*(f_j)] unit lower-triangular, so rank M = r + 1 and the left
+    kernel of M has dimension N + 1, the number of rows of M less its
+    columns.  A phi row b lies in that kernel exactly when b M = 0, so
+    the spans are equal exactly when every phi row annihilates M and the
+    phi rank is N + 1.  Annihilation is sum_i b_i M[i][c] = 0 for every
+    phi row b and column c of M, over the common denominator of M.  The
+    phi echelon form, reduced for the rank, is then the printed kernel;
+    when the spans differ, the printed kernel is ``left_kernel(M)``, the
+    unique reduced echelon basis of the kernel.
     """
     bm = phi(ctx, k, l, N)
     dual = _dual_matrix(ctx, k, l, N)
-    r = dual.cols - 1
-    kern, den = _kernel_by_back_substitution(dual, r)
+    if not _unitriangular(dual, dual.cols - 1):
+        raise NotUnitriangular(
+            "the dual matrix is not unitriangular on its first r + 1 rows")
+    kernel_dim = dual.rows - dual.cols
     phim = bm.matrix()
-    echelon, pivots = phim.rref()
-    b = phim.block
-    lhs = _batch_product(ctx, b[:, :, :r + 1], den.arr[:, None, None])
-    rhs = _products_summed(ctx, b[:, :, None, r + 1:],
-                           kern[:, None, :, :r + 1].swapaxes(2, 3))
-    equal = (len(pivots) == N + 1 == kern.shape[1]
-             and np.array_equal(_trimmed(lhs), _trimmed(rhs)))
-    if not equal:
-        echelon = Matrix._of(ctx, kern, [den] * kern.shape[1]).rref()[0]
     scaled, _ = _over_common_den(ctx, dual.block, dual.dens)
-    annihilates = not _products_summed(
-        ctx, b[:, :, None], scaled.swapaxes(1, 2)[:, None]).any()
+    annihilates = not (_batch_product(
+        ctx, phim.block[:, :, None], scaled.swapaxes(1, 2)[:, None]
+    ).sum(axis=-2) % ctx.p).any()
+    echelon, pivots = phim.rref()
+    equal = annihilates and len(pivots) == kernel_dim
+    kernel = echelon.entries if equal else left_kernel(dual)
     return {
         "q": ctx.q,
         "k": k,
@@ -272,10 +237,10 @@ def relation_report(ctx, k, l, N):
         "N": N,
         "phi": [row.json_dict(basis_g=label)
                 for row, label in zip(bm.rows, bm.labels)],
-        "kernel": [[str(c) for c in v] for v in echelon.entries],
+        "kernel": [[str(c) for c in v] for v in kernel],
         "report": {
             "phi_rank": len(pivots),
-            "kernel_dim": kern.shape[1],
+            "kernel_dim": kernel_dim,
             "spans_equal": equal,
             "annihilates": annihilates,
         },

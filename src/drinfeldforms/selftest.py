@@ -156,7 +156,8 @@ def criterion_relations_sweep(ctx, r_max=5, n_max=3):
 
 def criterion_triangularity(ctx, r_max=5):
     """[a_i*(S_j)] is unitriangular for every space in the sweep: the
-    condition the kernel route of ``relation_report`` relies on."""
+    condition under which ``relation_report`` reads the kernel dimension
+    N + 1 off the shape of the matrix."""
     specs = valid_specs(ctx, r_max)
     ok = all(_unitriangular(_dual_matrix(ctx, k, l, 0), r)
              for k, l, r in specs)

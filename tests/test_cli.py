@@ -256,6 +256,20 @@ def test_bad_field_exit_2(capsys):
     assert code == 2
 
 
+def test_out_of_memory_exits_4(capsys, monkeypatch):
+    # exhaustion is not a failed check (1): one line on stderr, code 4;
+    # cli.expand is patched because the cached parser holds cmd_expand
+    from drinfeldforms import cli
+
+    def exhausted(*args):
+        raise MemoryError("Unable to allocate 512. MiB")
+
+    monkeypatch.setattr(cli, "expand", exhausted)
+    code, out, err = run(capsys, ["expand", "g1", "--prec", "5000"])
+    assert code == 4 and out == ""
+    assert err == "error: out of memory; the request is too large\n"
+
+
 # ---------------------------------------------------------------------------
 # determinism
 
