@@ -79,10 +79,8 @@ from .relations import (
     BMatrix,
     RelationVector,
     compute_b_vector,
-    dual_coeff,
     kernel_oracle,
     phi,
-    psi_apply,
     relation_report,
     spans_equal,
     sweep_relations,

@@ -138,15 +138,21 @@ _BUILDERS = {
 
 
 class _FormCache:
-    """Grow-only cache of generator series and their powers per field.
+    """Grow-only cache of generator series and of monomials in them, per
+    field.
 
-    Series are cached at the largest precision requested so far and served
-    by truncation, which is observationally identical to a fresh build.
+    A generator is built at the largest precision requested so far, at
+    least half again its last one.  A monomial is keyed by the canonical
+    term tuple of ``FormExpr``: one factor name^e is the generator's power
+    (an inverse first for e < 0), and several factors are the product of
+    their one-factor entries.  Every entry serves any smaller precision by
+    truncation, which is observationally identical to a fresh build; a
+    rebuilt generator drops every monomial that contains it.
     """
 
     def __init__(self):
         self._gens = {}    # (ctx.key, name) -> USeries
-        self._powers = {}  # (ctx.key, name, exp) -> USeries
+        self._monos = {}   # (ctx.key, ((name, exp), ...)) -> USeries
 
     def generator(self, ctx, name, prec):
         if name not in _BUILDERS:
@@ -158,35 +164,40 @@ class _FormCache:
             target = max(prec, int(1.5 * cached.prec) if cached else prec)
             cached = _BUILDERS[name](ctx, target)
             self._gens[key] = cached
-            stale = [k for k in self._powers
-                     if k[0] == ctx.key and k[1] == name]
+            stale = [k for k in self._monos if k[0] == ctx.key
+                     and any(n == name for n, _ in k[1])]
             for k in stale:
-                del self._powers[k]
+                del self._monos[k]
         return cached.truncate(prec)
 
-    def power(self, ctx, name, exp, prec):
-        """name^exp to absolute precision prec (negative exp allowed)."""
-        v = _GENERATORS[name](ctx.q)[2]
-        rel = prec - exp * v
-        if rel < 1:
-            rel = 1
-        key = (ctx.key, name, exp)
-        cached = self._powers.get(key)
+    def monomial(self, ctx, mono, prec):
+        """The product of name^exp over ``mono`` to absolute precision
+        prec; each factor is taken at exp * v + rel, with v its valuation
+        and rel = prec minus the monomial's valuation, at least 1."""
+        key = (ctx.key, mono)
+        cached = self._monos.get(key)
         if cached is not None and cached.prec >= prec:
             return cached.truncate(prec)
-        base = self.generator(ctx, name, v + rel)
-        if exp == 0:
+        vals = [e * _GENERATORS[n](ctx.q)[2] for n, e in mono]
+        rel = max(prec - sum(vals), 1)
+        if not mono:
             out = USeries.one(ctx, rel, support_class=0)
-        elif exp > 0:
-            out = base ** exp
+        elif len(mono) == 1:
+            (name, exp), = mono
+            v = _GENERATORS[name](ctx.q)[2]
+            base = self.generator(ctx, name, v + rel)
+            out = base ** exp if exp >= 0 else base.inverse() ** -exp
         else:
-            out = base.inverse() ** (-exp)
-        self._powers[key] = out
+            out = None
+            for factor, val in zip(mono, vals):
+                fs = self.monomial(ctx, (factor,), val + rel)
+                out = fs if out is None else out * fs
+        self._monos[key] = out
         return out.truncate(min(prec, out.prec))
 
     def clear(self):
         self._gens.clear()
-        self._powers.clear()
+        self._monos.clear()
 
 
 _CACHE = _FormCache()
@@ -198,8 +209,9 @@ def get_form(ctx, name, prec):
 
 
 def get_form_power(ctx, name, exp, prec):
-    """Cached generator power at the requested absolute precision."""
-    return _CACHE.power(ctx, name, exp, prec)
+    """Cached generator power at the requested absolute precision: the
+    one-factor monomial."""
+    return _CACHE.monomial(ctx, ((name, exp),), prec)
 
 
 def clear_form_cache():
@@ -475,26 +487,22 @@ class FormExpr:
 def expand(expr, prec):
     """Evaluate a form expression as a u-series, exact below ``prec``.
 
-    Input precisions are derived per term from the requested window plus
-    one (q-1)-block of slack, so every reported coefficient is sound.
+    Each term is one monomial of the form cache at prec plus one
+    (q-1)-block of slack, so every reported coefficient is sound; its
+    factors were taken at exp * v + rel with rel = prec - v + q - 1 for a
+    monomial of valuation v.  A term with v >= prec is skipped, and a
+    coefficient 1 is not applied.
     """
     ctx = expr.ctx
     q = ctx.q
-    out = USeries.zero(ctx, prec)
+    out = None
     for coef, mono in expr.terms:
-        v = sum(e * _GENERATORS[n](q)[2] for n, e in mono)
-        if v >= prec:
+        if sum(e * _GENERATORS[n](q)[2] for n, e in mono) >= prec:
             continue
-        rel = prec - v + (q - 1)
-        part = None
-        for name, e in mono:
-            fs = get_form_power(ctx, name, e,
-                                e * _GENERATORS[name](q)[2] + rel)
-            part = fs if part is None else part * fs
-        if part is None:
-            part = USeries.one(ctx, prec, support_class=0)
-        part = part.scale(coef)
+        part = _CACHE.monomial(ctx, mono, prec + q - 1)
+        if not coef.is_one():
+            part = part.scale(coef)
         if part.prec > prec:
             part = part.truncate(prec)
-        out = out + part
-    return out.truncate(prec) if out.prec > prec else out
+        out = part if out is None else out + part
+    return USeries.zero(ctx, prec) if out is None else out

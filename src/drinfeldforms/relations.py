@@ -41,19 +41,6 @@ from .forms import (
 )
 
 
-def dual_coeff(f, i, l):
-    """The functional a_i*: the coefficient of u^(i(q-1)+l)."""
-    if i < 0:
-        raise ValueError(f"index i = {i} must be nonnegative")
-    return f.coeff(i * (f.ctx.q - 1) + l)
-
-
-def psi_apply(cvec, f, l):
-    """Evaluate sum_i c_i a_f(i(q-1)+l) for a coefficient vector."""
-    return sum((c * dual_coeff(f, i, l) for i, c in enumerate(cvec)),
-               RatFunc.constant(f.ctx, 0))
-
-
 @dataclass(frozen=True)
 class RelationVector:
     """One element of the relation space, of length r + N + 2."""
@@ -88,15 +75,12 @@ class BMatrix:
         ctx = self.spec.ctx
         return Matrix(ctx, [row.c for row in self.rows])
 
-    def rank(self):
-        return self.matrix().rank()
-
 
 def compute_b_vector(ctx, k, l, N, g, prec=None):
     """Principal-part coefficients of h g / (Delta_T^(r+N+1) E_T^(2l)).
 
     Reads b_i at exponent -i(q-1) + 1 - l for i = 0 .. r+N+1; the result
-    annihilates every form in M_{k,l} under psi_apply.
+    annihilates every form in M_{k,l} under sum_i c_i a_f(i(q-1)+l).
     """
     spec = FormSpec(ctx, k, l)
     rN = spec.r + N + 1

@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from drinfeldforms import forms
 from drinfeldforms.carlitz import monic_series_sum
 from drinfeldforms.errors import (
     BadWeight,
@@ -525,6 +526,87 @@ def test_expand_random_exprs_precision_and_ring_laws(ctx, data):
     assert ((x * y) * z).agrees_with(x * (y * z))
     assert (x * (y + z)).agrees_with(x * y + x * z)
     assert expand(exprs[0] * exprs[1], prec).agrees_with(x * y)
+
+
+# ---------------------------------------------------------------------------
+# the form cache: warm requests against an empty cache
+
+
+@st.composite
+def cache_expr(draw, ctx):
+    """A sum of one to three monomials in one to three of the six
+    generators, exponents in -3..3, each scaled by a coefficient other
+    than 1: a constant, T + c or 1/(T + c)."""
+    T = Poly.T(ctx)
+    terms = []
+    for _ in range(draw(st.integers(1, 3))):
+        names = draw(st.lists(st.sampled_from(GENERATOR_NAMES), min_size=1,
+                              max_size=3, unique=True))
+        mono = tuple((n, draw(st.integers(-3, 3))) for n in names)
+        c = draw(st.integers(0, ctx.p - 1))
+        coef = draw(st.sampled_from((
+            RatFunc.constant(ctx, c if c > 1 else -1), RatFunc(T + c),
+            RatFunc(Poly.one(ctx), T + c))))
+        terms.append((coef, mono))
+    return FormExpr(ctx, terms)
+
+
+def assert_same_from_cache(warm, cold):
+    assert warm == cold
+    assert warm.json_dict() == cold.json_dict()
+    assert warm.support_class == cold.support_class
+
+
+# precisions of the requests
+CACHE_PREC = {3: (2, 16), 5: (2, 20), 9: (2, 24)}
+
+
+@pytest.mark.parametrize("ctx", FIELDS, ids=lambda c: f"q{c.q}")
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_warm_cache_serves_what_an_empty_cache_builds(ctx, data):
+    # requests at rising and then falling precisions share one cache, and
+    # a cached generator is rebuilt deeper between two of them; each warm
+    # expansion, and each warm monomial of its terms, equals the one
+    # built from an empty cache
+    q = ctx.q
+    T = Poly.T(ctx)
+    lo, hi = CACHE_PREC[q]
+    exprs = [data.draw(cache_expr(ctx), label=f"expr{i}") for i in range(2)]
+    exprs += [
+        # one term, beyond every window: v = j(q-1) >= prec
+        FormExpr(ctx, [(RatFunc(T), (("Delta_T", -(-hi // (q - 1))),))]),
+        # a series over the denominator T + 1
+        FormExpr(ctx, [(RatFunc(Poly.one(ctx), T + 1), (("E_T", -2),))]),
+    ]
+    precs = data.draw(st.lists(st.integers(lo, hi), min_size=4, max_size=6),
+                      label="precs")
+    precs = sorted(precs[:2]) + sorted(precs[2:], reverse=True)
+    rebuild_at = data.draw(st.integers(1, len(precs) - 1), label="rebuild_at")
+    clear_form_cache()
+    warm = []
+    for i, prec in enumerate(precs):
+        if i == rebuild_at:
+            cached = sorted(n for k, n in forms._CACHE._gens if k == ctx.key)
+            name = data.draw(st.sampled_from(cached), label="rebuilt")
+            get_form(ctx, name, forms._CACHE._gens[ctx.key, name].prec + 1)
+            assert not any(n == name for k, mono in forms._CACHE._monos
+                           if k == ctx.key for n, _ in mono)
+        for expr in exprs:
+            warm.append((expr, prec, expand(expr, prec), [
+                (mono, forms._CACHE.monomial(ctx, mono, prec))
+                for _, mono in expr.terms]))
+    for expr, prec, series, monos in warm:
+        clear_form_cache()
+        assert_same_from_cache(series, expand(expr, prec))
+        for mono, s in monos:
+            clear_form_cache()
+            assert_same_from_cache(s, forms._CACHE.monomial(ctx, mono, prec))
+        if expr is exprs[2]:
+            assert series.is_zero() and series.prec == prec
+        if expr is exprs[3]:
+            assert not series.integral
+    clear_form_cache()
 
 
 # ---------------------------------------------------------------------------

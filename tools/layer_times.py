@@ -21,7 +21,10 @@ first), so that the kernel, rank and span checks dominate.
 Selftest: one row per criterion line of ``selftest --profile quick`` and
 ``--profile full``, the seconds of that line (field set-up and check)
 from an empty form cache, plus the whole profile, ``run_selftest``, from
-an empty form cache.
+an empty form cache.  Each row also records what the form cache holds
+after the line: the entries and numerator-block bytes of each of its
+tables.  Criterion 9 empties the cache before its first pass, so the
+``run_selftest`` row records what criterion 9 leaves.
 
 Each time is the median of three runs in one process.  The JSON
 records the host (platform, CPU count, Python and numpy versions) next to
@@ -78,8 +81,15 @@ def timed(build, ctx, prec, warm=False):
         start = time.perf_counter()
         build(ctx, prec)
         times.append(time.perf_counter() - start)
-    forms.clear_form_cache()
     return statistics.median(times)
+
+
+def cache_size():
+    """Entries and numerator-block bytes of each table of the form cache."""
+    return {name.lstrip("_"): {"entries": len(table),
+                               "block_bytes": sum(s.block.nbytes
+                                                  for s in table.values())}
+            for name, table in vars(forms._CACHE).items()}
 
 
 def relation_rows():
@@ -107,7 +117,8 @@ def selftest_rows():
                       lambda profile=profile: selftest.run_selftest(profile)))
         for line, run in lines:
             row = {"profile": profile, "line": line,
-                   "s": round(timed(lambda *_: run(), None, None), 4)}
+                   "s": round(timed(lambda *_: run(), None, None), 4),
+                   "form_cache": cache_size()}
             print(json.dumps(row), file=sys.stderr, flush=True)
             rows.append(row)
     return rows
@@ -142,7 +153,7 @@ def main(argv=None):
             rows.append(row)
     out = {"what": "median time in seconds: generator builds and selftest "
                    "lines from an empty form cache, relation reports from "
-                   "a warm one",
+                   "a warm one; the form cache after each selftest line",
            "runs": RUNS, "host": host(), "results": rows,
            "relations": relation_rows(), "selftest": selftest_rows()}
     if args.parent:
