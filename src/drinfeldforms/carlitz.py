@@ -18,8 +18,8 @@ import numpy as np
 
 from .errors import NotMonic, ZeroInput
 from .fieldpoly import (FqElem, Poly, RatFunc, _as_ratfunc, _batch_product,
-                        _cleared_row)
-from .useries import USeries, _stack
+                        _cleared_row, _stacked)
+from .useries import USeries
 
 
 class CarlitzMap:
@@ -146,7 +146,7 @@ def _batch_sum(ctx, kept, power, prec):
                 prod = _batch_product(ctx, g[:, :, m - ks[:c], :m - ks[0] + 1],
                                       sk[:, :, :c, :ks[c - 1] + 1], m + 1)
                 g[:, :, m, :prod.shape[3]] = -prod.sum(axis=2) % p
-        g = _batch_product(ctx, g, _stack(ctx, [nums[i].arr for i in at])[
+        g = _batch_product(ctx, g, _stacked([nums[i].arr for i in at])[
             :, :, None]).sum(axis=1) % p
         block[:, power * (q ** d - 1) // (q - 1):, :g.shape[2]] += g
     # a sum that cancels keeps the valuation of its last term

@@ -2,10 +2,11 @@
 field F_q(T), and dense matrices over F_q(T) with Gaussian elimination.
 
 Polynomials are stored densely as small integer coordinate arrays, one row
-per basis coordinate of the field over its prime field.  Multiplication is
-integer convolution followed by reduction, so the heavy kernels run inside
-numpy while every value stays exact.  All objects are immutable after
-construction.
+per basis coordinate of the field over its prime field.  Every product of
+such arrays is integer arithmetic on coordinate planes inside numpy,
+combined into the planes of the powers of w by ``FieldCtx._plane_product``
+and reduced by ``FieldCtx._fold``, so every value stays exact.  All
+objects are immutable after construction.
 """
 
 from __future__ import annotations
@@ -117,7 +118,9 @@ class FieldCtx:
     coordinates with respect to the power basis 1, w, ..., w^(r-1) of the
     generator w, where w is a root of ``modulus``.  For r > 1 a generator of
     the multiplicative group is found once and exp/log tables drive scalar
-    multiplication and inversion.
+    multiplication and inversion.  Arrays of elements hold their
+    coordinates on a first axis of r planes; ``_plane_product`` and
+    ``_fold`` are the one rule by which every kernel multiplies them.
     """
 
     __slots__ = ("p", "r", "q", "modulus", "key", "_wred", "_exp", "_log",
@@ -167,6 +170,24 @@ class FieldCtx:
             row += prev[r - 1] * base
             rows[s] = row % p
         return rows
+
+    def _plane_product(self, a, b, mul):
+        """The 2r - 1 unreduced coordinate planes of a product, plane s
+        holding the multiple of w^s: plane i of ``a`` times plane j of
+        ``b`` lands on plane i + j.  ``mul(a[i], b)`` returns plane i of a
+        times every plane of b, stacked on a first axis of length r; it
+        runs once per nonzero plane of a, or on plane 0 alone when a is
+        zero.  For r = 1 this is mul(a[0], b) itself."""
+        r = self.r
+        if r == 1:
+            return mul(a[0], b)
+        acc, nonzero = None, a.reshape(r, -1).any(axis=1).tolist()
+        for i in [i for i in range(r) if nonzero[i]] or [0]:
+            prod = mul(a[i], b)
+            if acc is None:
+                acc = np.zeros((2 * r - 1,) + prod.shape[1:], prod.dtype)
+            acc[i:i + r] += prod
+        return acc
 
     def _fold(self, acc):
         """Reduce a stack of at most 2r - 1 coordinate planes, plane s
@@ -218,10 +239,12 @@ class FieldCtx:
         return exp.tolist(), log.tolist()
 
     def _decode(self, code):
-        out = np.zeros(self.r, dtype=np.int64)
-        for i in range(self.r):
-            code, out[i] = divmod(code, self.p)
-        return out
+        # the coordinates of a code, lowest power of w first
+        out = []
+        for _ in range(self.r):
+            code, d = divmod(code, self.p)
+            out.append(d)
+        return tuple(out)
 
     def _encode(self, coords):
         code = 0
@@ -233,12 +256,12 @@ class FieldCtx:
     def _add_codes(self, a, b):
         if self.r == 1:
             return (a + b) % self.p
-        return self._encode(self._decode(a) + self._decode(b))
+        return self._encode(np.add(self._decode(a), self._decode(b)))
 
     def _neg_code(self, a):
         if self.r == 1:
             return (-a) % self.p
-        return self._encode(-self._decode(a))
+        return self._encode(np.negative(self._decode(a)))
 
     def _sub_codes(self, a, b):
         return self._add_codes(a, self._neg_code(b))
@@ -275,10 +298,7 @@ class FieldCtx:
         coords = list(value)
         if len(coords) != self.r:
             raise ValueError(f"expected {self.r} coordinates")
-        code = 0
-        for i in range(self.r - 1, -1, -1):
-            code = code * self.p + coords[i] % self.p
-        return FqElem(self, code)
+        return FqElem(self, self._encode(coords))
 
     def __eq__(self, other):
         return isinstance(other, FieldCtx) and self.key == other.key
@@ -312,12 +332,7 @@ class FqElem:
     @property
     def coords(self):
         """Coordinates with respect to 1, w, ..., w^(r-1), each in [0, p)."""
-        c, p = self.code, self.ctx.p
-        out = []
-        for _ in range(self.ctx.r):
-            c, d = divmod(c, p)
-            out.append(d)
-        return tuple(out)
+        return self.ctx._decode(self.code)
 
     def is_zero(self):
         return self.code == 0
@@ -422,17 +437,14 @@ def _trimmed(arr):
     return arr[..., :nz[-1] + 1 if nz.size else 0]
 
 
-def _times_coords(ctx, coords, arr):
-    """A coefficient array of any shape, coordinate axis first, times the
-    field element with coordinates ``coords``; entries in [0, p)."""
-    if ctx.r == 1:
-        return arr * int(coords[0]) % ctx.p
-    r = ctx.r
-    acc = np.zeros((2 * r - 1,) + arr.shape[1:], dtype=np.int64)
-    for i in range(r):
-        if coords[i]:
-            acc[i:i + r] += coords[i] * arr
-    return ctx._fold(acc)
+def _times_coords(ctx, c, arr):
+    """A coefficient array of any shape, coordinate axis first, times field
+    elements with the coordinates ``c``, an array (r, ...) whose further
+    axes, none for one element, match the leading batch axes of arr;
+    entries in [0, p)."""
+    c = np.asarray(c)
+    c = c.reshape(c.shape + (1,) * (arr.ndim - c.ndim))
+    return ctx._fold(ctx._plane_product(c, arr, np.multiply))
 
 
 def _frobenius_array(ctx, arr):
@@ -452,29 +464,28 @@ def _rows_divmod(ctx, arr, g):
     """Quotients and remainders of all the polynomials in a coefficient
     array of any shape, coordinate axis first and T last, by the nonzero
     polynomial with trimmed coefficient array g: one long division."""
-    p, r = ctx.p, ctx.r
-    dg = g.shape[1] - 1
+    r, dg = ctx.r, g.shape[1] - 1
     inv = ctx.element(g[:, dg].tolist()).inverse().coords
     work = np.array(arr, dtype=np.int64)
     quot = np.zeros(arr.shape[:-1] + (max(arr.shape[-1] - dg, 0),),
                     dtype=np.int64)
+    # -g / lead(g), shaped to broadcast over the batch axes of arr: each
+    # step adds the leading coefficient of work times it, and those
+    # coefficients times 1 / lead(g) are the quotient
+    neg = -_times_coords(ctx, inv, g).reshape(
+        g.shape[:1] + (1,) * (arr.ndim - 2) + g.shape[1:])
+
+    def mul(x, b):
+        return x[..., None] * b
     for k in range(arr.shape[-1] - 1, dg - 1, -1):
         qc = work[..., k]
         if not qc.any():
             continue
-        qc = quot[..., k - dg] = _times_coords(ctx, inv, qc)
-        if r == 1:
-            sub = np.multiply.outer(qc, g[0])
-        else:
-            # products of coordinate planes, reduced mod the modulus
-            sub = np.zeros((2 * r - 1,) + qc.shape[1:] + (dg + 1,),
-                           dtype=np.int64)
-            for i in range(r):
-                for j in range(r):
-                    sub[i + j] += np.multiply.outer(qc[i], g[j])
-            sub = ctx._fold(sub)
-        work[..., k - dg:k + 1] = (work[..., k - dg:k + 1] - sub) % p
-    return quot, work[..., :dg]
+        quot[..., k - dg] = qc
+        acc = ctx._plane_product(qc, neg, mul)
+        acc[:r] += work[..., k - dg:k + 1]
+        work[..., k - dg:k + 1] = ctx._fold(acc)
+    return _times_coords(ctx, inv, quot), work[..., :dg]
 
 
 def _convolve_mod(a, b, p):
@@ -491,15 +502,14 @@ def _poly_product(ctx, a, b):
     the product of trimmed arrays is trimmed."""
     if ctx.r == 1:
         return _convolve_mod(a[0], b[0], ctx.p)[None, :]
-    r = ctx.r
-    acc = np.zeros((2 * r - 1, a.shape[1] + b.shape[1] - 1), dtype=np.int64)
-    for i in range(r):
-        if not a[i].any():
-            continue
-        for j in range(r):
-            if b[j].any():
-                acc[i + j] += np.convolve(a[i], b[j])
-    return ctx._fold(acc)
+    # one convolution per plane of the shorter factor, with the planes of
+    # the other laid end to end at the stride n of a product; p^r <= 2^20
+    # keeps every sum in int64
+    a, b = (a, b) if a.shape[1] <= b.shape[1] else (b, a)
+    r, n = ctx.r, a.shape[1] + b.shape[1] - 1
+    flat = _padded(b, n).ravel()[:(r - 1) * n + b.shape[1]]
+    return ctx._fold(ctx._plane_product(
+        a, flat, lambda x, y: np.convolve(x, y).reshape(r, n)))
 
 
 def _batch_product(ctx, a, b, width=None):
@@ -507,26 +517,22 @@ def _batch_product(ctx, a, b, width=None):
     T last and batch axes between that broadcast, reduced and cut below
     T^width: one multiply-add per column of the shorter factor, on Python
     integers past the bound of ``_convolve_mod``."""
-    p, r = ctx.p, ctx.r
+    p = ctx.p
     a, b = (a, b) if a.shape[-1] >= b.shape[-1] else (b, a)
     wa, wb = a.shape[-1], b.shape[-1]
     full = max(wa + wb - 1, 0)
     width = full if width is None else min(width, full)
     exact = np.int64 if wb * (p - 1) ** 2 < 1 << 62 else object
-    # coordinate planes i of a and j of b give the multiple of w^(i+j)
+    # out[i, j] is plane i of a times plane j of b
     a = a[:, None].astype(exact, copy=False)
     b = b[None].astype(exact, copy=False)
     out = np.zeros(np.broadcast_shapes(a.shape[:-1], b.shape[:-1])
                    + (width,), dtype=exact)
     for s in range(min(wb, width)):
         out[..., s:s + wa] += a[..., :width - s] * b[..., s, None]
-    out = (out % p).astype(np.int64, copy=False)
-    if r == 1:
-        return out[0]
-    acc = np.zeros((2 * r - 1,) + out.shape[2:], dtype=np.int64)
-    for i in range(r):
-        acc[i:i + r] += out[i]
-    return ctx._fold(acc)
+    if exact is object:
+        out = (out % p).astype(np.int64)
+    return ctx._fold(ctx._plane_product(out, None, lambda x, _: x))
 
 
 class Poly:
@@ -630,29 +636,26 @@ class Poly:
             return Poly.constant(self.ctx, other)
         return NotImplemented
 
-    def __add__(self, other):
+    def _combine(self, other, sign):
+        # self + sign * other as one signed sum of the two arrays
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
         a, b = self.arr, other.arr
-        n = max(a.shape[1], b.shape[1])
-        out = np.zeros((self.ctx.r, n), dtype=np.int64)
-        out[:, :a.shape[1]] += a
-        out[:, :b.shape[1]] += b
+        out = _padded(a, max(a.shape[1], b.shape[1]))
+        if sign > 0:
+            out[:, :b.shape[1]] += b
+        else:
+            out[:, :b.shape[1]] -= b
         return Poly(self.ctx, out % self.ctx.p)
+
+    def __add__(self, other):
+        return self._combine(other, 1)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        a, b = self.arr, other.arr
-        n = max(a.shape[1], b.shape[1])
-        out = np.zeros((self.ctx.r, n), dtype=np.int64)
-        out[:, :a.shape[1]] += a
-        out[:, :b.shape[1]] -= b
-        return Poly(self.ctx, out % self.ctx.p)
+        return self._combine(other, -1)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -678,10 +681,7 @@ class Poly:
             return Poly.zero(self.ctx)
         if e.is_one():
             return self
-        ctx = self.ctx
-        if ctx.r == 1:
-            return Poly(ctx, (self.arr * e.code) % ctx.p)
-        return Poly(ctx, _times_coords(ctx, e.coords, self.arr))
+        return Poly(self.ctx, _times_coords(self.ctx, e.coords, self.arr))
 
     def _frobenius(self):
         """The p-th power: c(T)^p = sum a_i^p T^(ip)."""
@@ -1137,11 +1137,15 @@ def _padded(arr, width):
     return out
 
 
-def _stacked(arrays, axis):
-    """Coefficient arrays of one shape but for their widths, padded to
-    the widest and stacked on a new axis."""
-    width = max(a.shape[-1] for a in arrays)
-    return np.stack([_padded(a, width) for a in arrays], axis=axis)
+def _stacked(arrays):
+    """Coefficient arrays of one shape but for their widths, coordinate
+    axis first, padded to the widest and stacked on a new axis 1."""
+    first = arrays[0]
+    out = np.zeros((first.shape[0], len(arrays)) + first.shape[1:-1]
+                   + (max(a.shape[-1] for a in arrays),), dtype=np.int64)
+    for i, a in enumerate(arrays):
+        out[:, i, ..., :a.shape[-1]] = a
+    return out
 
 
 def _fraction_free(ctx, block):
@@ -1198,19 +1202,6 @@ def _degrees(arr):
                     nz.shape[-1] - 1 - np.argmax(nz[..., ::-1], axis=-1), -1)
 
 
-def _times_each(ctx, c, arr):
-    """A batch of coefficient arrays (r, ..., K, w) times one field element
-    per batch index k, with coordinates c[:, k]; entries in [0, p)."""
-    r = ctx.r
-    c = c.reshape(c.shape[:1] + (1,) * (arr.ndim - 3) + c.shape[1:] + (1,))
-    if r == 1:
-        return c * arr % ctx.p
-    acc = np.zeros((2 * r - 1,) + arr.shape[1:], dtype=np.int64)
-    for i in range(r):
-        acc[i:i + r] += c[i] * arr
-    return ctx._fold(acc)
-
-
 def _lowest_fractions(ctx, rem, den):
     """Lowest terms of a batch of proper fractions rem_k / den_k, given as
     arrays (r, K, w) with each rem_k nonzero and of lower degree than the
@@ -1247,12 +1238,13 @@ def _lowest_fractions(ctx, rem, den):
         b, shift = x[:, 1], np.where(live, deg[0] - deg[1], w)
         shifted = np.concatenate([np.zeros_like(b), b], axis=-1)[
             :, :, at[:, None], src - shift[:, None]]
-        x[:, 0] = (_times_each(ctx, b[:, 0, at, deg[1]], x[:, 0])
-                   - _times_each(ctx, x[:, 0, 0, at, deg[0]], shifted)) % p
+        x[:, 0] = (_times_coords(ctx, b[:, :1, at, deg[1]], x[:, 0])
+                   - _times_coords(ctx, x[:, 0][:, :1, at, deg[0]],
+                                   shifted)) % p
     s, t = x[:, 1, 1], x[:, 1, 2]
     inv = np.array([ctx.element(c).inverse().coords for c in
                     t[:, at, _degrees(t)].T.tolist()], dtype=np.int64).T
-    return _times_each(ctx, -inv % p, s), _times_each(ctx, inv, t)
+    return _times_coords(ctx, -inv % p, s), _times_coords(ctx, inv, t)
 
 
 def _reduced_entries(ctx, block, dens):
@@ -1282,8 +1274,8 @@ def _reduced_entries(ctx, block, dens):
                 rems.append(rem[:, n, j])
                 ds.append(d.arr)
     if at:
-        num, den = _lowest_fractions(ctx, _stacked(rems, 1), _stacked(ds, 1))
-        prod = _batch_product(ctx, _stacked(quots, 1), den)
+        num, den = _lowest_fractions(ctx, _stacked(rems), _stacked(ds))
+        prod = _batch_product(ctx, _stacked(quots), den)
         num = (_padded(num, prod.shape[-1]) + prod) % ctx.p
         for n, (i, j) in enumerate(at):
             out[i][j] = RatFunc._reduced(Poly(ctx, num[:, n]),

@@ -134,7 +134,7 @@ def _over_common_den(ctx, block, dens):
     scales, lcm = _cleared_row(ctx, [RatFunc._reduced(one, d) for d in dens])
     if lcm.is_one():
         return block, lcm
-    scales = _stacked([x.arr for x in scales], axis=1)
+    scales = _stacked([x.arr for x in scales])
     return _trimmed(_batch_product(ctx, block, scales[:, :, None])), lcm
 
 
@@ -157,7 +157,7 @@ def _dual_matrix(ctx, k, l, N, prec=None):
     if not den.is_one():
         rows, dens = zip(*(_lowest_terms(ctx, row, den)
                            for row in rows.swapaxes(0, 1)))
-        rows = _stacked(rows, axis=1)
+        rows = _stacked(rows)
     return Matrix._of(ctx, rows, dens)
 
 

@@ -51,21 +51,12 @@ import numpy as np
 from .errors import MixedField, PrecisionExceeded, ZeroSeries
 from .fieldpoly import (FqElem, Poly, RatFunc, _as_ratfunc, _cleared_row,
                         _convolve_mod, _frobenius_array, _lowest_terms,
-                        _poly_product, _power, _trimmed)
+                        _padded, _poly_product, _power, _stacked, _trimmed)
 
 
 def _times(a, b):
     # product of two polynomials, skipping a factor 1
     return b if a.is_one() else a if b.is_one() else a * b
-
-
-def _stack(ctx, rows):
-    """One block from a list of (r, n) coefficient arrays, padded in T."""
-    block = np.zeros((ctx.r, len(rows), max([a.shape[1] for a in rows],
-                                            default=0)), dtype=np.int64)
-    for i, a in enumerate(rows):
-        block[:, i, :a.shape[1]] = a
-    return block
 
 
 def _gcd(exps):
@@ -109,7 +100,9 @@ class USeries:
             for e in exps[exps % (ctx.q - 1) != support_class][:1].tolist():
                 raise ValueError(f"exponent {e} escapes support class "
                                  f"{support_class} mod {ctx.q - 1}")
-        self._setup(ctx, exps, _stack(ctx, [a for _, a in items]), den, prec if val is None else val,
+        # the zero series gets its empty block from _setup
+        block = _stacked([a for _, a in items]) if items else None
+        self._setup(ctx, exps, block, den, prec if val is None else val,
                     prec, support_class, sums=False)
 
     @classmethod
@@ -366,7 +359,7 @@ class USeries:
         c, *a = [self.block[:, i, :n] for i, n in enumerate(ends)]
         a = list(zip(((self.exps[1:] - v) // gap).tolist(), a))
         one = Poly.one(ctx).arr
-        unit = c.shape == one.shape and c[0, 0] == 1 and not c[1:].any()
+        unit = np.array_equal(c, one)
         cpow = [one]  # c^0 .. c^rows, each built once
         if not unit:
             for _ in range(rows):
@@ -400,7 +393,7 @@ class USeries:
         if self.support_class is not None:
             sc = (-self.support_class) % (ctx.q - 1)
         return USeries._make(ctx, -v + gap * np.array(list(b)),
-                             _stack(ctx, list(b.values())),
+                             _stacked(list(b.values())),
                              Poly(ctx, cpow[top + 1]) if not unit
                              else Poly.one(ctx), -v, rel - v, sc, sums=False)
 
@@ -567,7 +560,10 @@ def _dense_product(ctx, A, B, rows):
     and a real FFT is used if ``|A|_2 |B|_2 r err(log2 N + 1) < 1/4``
     certifies that every rounded entry is exact (the extra stage covers
     the real-to-complex split).  Otherwise the flattened planes are
-    multiplied by the exact 1-D convolution of ``fieldpoly``.
+    multiplied by the exact 1-D convolution of ``fieldpoly``, each plane of
+    the factor with fewer rows against all the planes of the other laid
+    end to end.  Either way ``FieldCtx._plane_product`` combines the
+    planes and ``FieldCtx._fold`` reduces them.
     """
     p, r = ctx.p, ctx.r
     A = A[:, :rows]
@@ -586,23 +582,19 @@ def _dense_product(ctx, A, B, rows):
                 * _fft_error((n1 * n2).bit_length()) < 0.25):
             fa = np.fft.rfft2(fa, (n1, n2))
             fb = fa if B is A else np.fft.rfft2(fb, (n1, n2))
-            planes = np.zeros((2 * r - 1,) + fa.shape[1:],
-                              dtype=np.complex128)
-            for i in range(r):
-                for j in range(r):
-                    planes[i + j] += fa[i] * fb[j]
+            planes = ctx._plane_product(fa, fb, np.multiply)
             prod = np.fft.irfft2(planes, (n1, n2))[:, :m, :width]
             return ctx._fold(np.rint(prod).astype(np.int64))
-    acc = np.zeros((2 * r - 1, m, width), dtype=np.int64)
+    # planes flattened with T-stride width; those of the longer factor are
+    # laid end to end at the stride n of a full product
+    if na > nb:
+        A, B, (na, da), (nb, db) = B, A, (nb, db), (na, da)
+    n = na + nb - 1
+    flat_b = np.zeros((B.shape[0], n, width), dtype=np.int64)
+    flat_b[:, :nb, :db] = B
+    flat_b = flat_b.ravel()[:flat_b.size - na * width + db]
 
-    def flat(block, i):
-        plane = np.zeros((block.shape[1], width), dtype=np.int64)
-        plane[:, :block.shape[2]] = block[i]
-        return plane.ravel()[:(block.shape[1] - 1) * width + block.shape[2]]
-    for i in range(r):
-        if A[i].any():
-            for j in range(r):
-                if B[j].any():
-                    c = _convolve_mod(flat(A, i), flat(B, j), p)
-                    acc[i + j] += c[:m * width].reshape(m, width)
-    return ctx._fold(acc)
+    def mul(a, b):
+        a = _padded(a, width).ravel()[:(na - 1) * width + da]
+        return _convolve_mod(a, b, p).reshape(-1, n, width)[:, :m]
+    return ctx._fold(ctx._plane_product(A, flat_b, mul))

@@ -218,6 +218,112 @@ def test_batch_product_over_F9_matches_poly_product():
         assert Poly(F9, prod[:, k]) == x * y
 
 
+# ---------------------------------------------------------------------------
+# coordinate-plane kernels against entrywise element products
+#
+# FqElem products run on the exp/log tables and never touch coordinate
+# planes, so they are an oracle for every kernel that multiplies arrays
+# through FieldCtx._plane_product and FieldCtx._fold.  At q = 27 the fold
+# reduces by two rows of w^3 and w^4.
+
+F25 = make_field(5, 2)
+F27 = make_field(3, 3)
+
+
+def element_codes(ctx, arr):
+    """The element codes of a coefficient array, coordinate axis first."""
+    return np.tensordot(np.array(ctx._ppow), arr, axes=1)
+
+
+def element_product(ctx, a, b):
+    """Oracle: the product of two polynomials given by their codes, one
+    FqElem product and sum per pair of terms."""
+    out = [ctx.zero()] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += fieldpoly.FqElem(ctx, x) * fieldpoly.FqElem(ctx, y)
+    return [e.code for e in out]
+
+
+def random_array(ctx, rng, shape, prime_rows=()):
+    """Random coefficient array (r,) + shape with a nonzero last column;
+    the batch rows in ``prime_rows`` hold only F_p coefficients, so that
+    their coordinate planes of w, w^2, ... are zero."""
+    arr = rng.integers(0, ctx.p, (ctx.r,) + shape)
+    arr[0, ..., -1] = np.maximum(arr[0, ..., -1], 1)
+    for i in prime_rows:
+        arr[1:, i] = 0
+    return arr
+
+
+@pytest.mark.parametrize("ctx", (F25, F27), ids=("q25", "q27"))
+def test_poly_product_and_divmod_match_element_products(ctx):
+    rng = random.Random(ctx.q)
+    polys = [rand_poly(ctx, rng, 9) for _ in range(8)]
+    polys += [Poly.from_coeffs(ctx, [rng.randrange(ctx.p) for _ in range(5)]
+                               + [1])]  # zero planes of w and beyond
+    for x in polys:
+        for y in polys[::3]:
+            cx, cy = element_codes(ctx, x.arr), element_codes(ctx, y.arr)
+            if not (x.is_zero() or y.is_zero()):
+                assert element_codes(ctx, (x * y).arr).tolist() == \
+                    element_product(ctx, cx, cy)
+            if y.is_zero():
+                continue
+            quot, rem = divmod(x, y)
+            assert rem.degree < y.degree
+            back = quot * y + rem  # checked entrywise below
+            if not quot.is_zero():
+                want = element_product(ctx, element_codes(ctx, quot.arr), cy)
+                for i, c in enumerate(element_codes(ctx, rem.arr).tolist()):
+                    want[i] = (fieldpoly.FqElem(ctx, want[i])
+                               + fieldpoly.FqElem(ctx, c)).code
+                assert element_codes(ctx, back.arr).tolist() == want
+            assert back == x
+
+
+@pytest.mark.parametrize("ctx", (F25, F27), ids=("q25", "q27"))
+def test_batch_product_and_rows_divmod_match_element_products(ctx):
+    rng = np.random.default_rng(ctx.q)
+    a = random_array(ctx, rng, (3, 2, 6), prime_rows=(1,))
+    b = random_array(ctx, rng, (1, 2, 4))
+    prod = fieldpoly._batch_product(ctx, a, b)
+    for i in range(3):
+        for j in range(2):
+            assert element_codes(ctx, prod[:, i, j]).tolist() == \
+                element_product(ctx, element_codes(ctx, a[:, i, j]),
+                                element_codes(ctx, b[:, 0, j]))
+    g = random_array(ctx, rng, (3,))
+    quot, rem = fieldpoly._rows_divmod(ctx, a, g)
+    for i in range(3):
+        for j in range(2):
+            x = Poly(ctx, a[:, i, j])
+            assert (Poly(ctx, quot[:, i, j]), Poly(ctx, rem[:, i, j])) == \
+                divmod(x, Poly(ctx, g))
+
+
+@pytest.mark.parametrize("ctx", (F25, F27), ids=("q25", "q27"))
+def test_times_coords_matches_element_products(ctx):
+    # one element for a whole array, then one element per batch index
+    rng = np.random.default_rng(ctx.q + 1)
+    arr = random_array(ctx, rng, (2, 4, 5), prime_rows=(0,))
+    for code in (1, ctx.p - 1, ctx.p, ctx.q - 1, ctx.p ** (ctx.r - 1) + 2):
+        e = fieldpoly.FqElem(ctx, code)
+        got = element_codes(ctx, fieldpoly._times_coords(ctx, e.coords, arr))
+        want = [[[(fieldpoly.FqElem(ctx, c) * e).code for c in row]
+                 for row in rows] for rows in element_codes(ctx, arr).tolist()]
+        assert got.tolist() == want
+        poly = Poly(ctx, arr[:, 0, 0])
+        assert poly._scale(e) == poly * Poly.constant(ctx, e)
+    codes = [0, 1, ctx.p, ctx.q - 1]
+    c = np.array([fieldpoly.FqElem(ctx, x).coords for x in codes]).T
+    got = element_codes(ctx, fieldpoly._times_coords(ctx, c[:, None], arr))
+    want = [[[(fieldpoly.FqElem(ctx, x) * fieldpoly.FqElem(ctx, y)).code
+              for x in row] for y, row in zip(codes, rows)]
+            for rows in element_codes(ctx, arr).tolist()]
+    assert got.tolist() == want
+
+
 def brute_smallest_irreducible_deg3(p):
     # oracle: a cubic is irreducible exactly when it has no root in F_p;
     # scan in lex order with the constant term most significant

@@ -25,6 +25,14 @@ coefficients outside F_q[T] (user scalars with denominators, inverses,
 the non-modular E), in the same three fields and two formats, and
 ``selftest-full`` holds ``selftest --profile full``; these were recorded
 before series stored numerators over one common denominator.
+
+The README examples also run over F_27 (``--p 3 --r 3``), and the
+``expand-scalar-*`` cases expand two forms with coefficients outside F_p
+(w, w^2 and factors T + w) over F_9, F_25 and F_27, so that every
+coordinate plane of the field arithmetic reaches the output.  Their exit
+codes are in ``tests/golden/exit_codes-extension-fields.json``; they were
+recorded before every product of coordinate planes went through
+``FieldCtx._plane_product``.
 """
 
 import json
@@ -52,11 +60,12 @@ EXAMPLES = (
     ("residue", ["residue", "--k", "4", "--l", "1", "--a", "0"]),
 )
 FIELDS = (("q3", []), ("q5", ["--p", "5"]), ("q9", ["--p", "3", "--r", "2"]))
+Q25, Q27 = ("q25", ["--p", "5", "--r", "2"]), ("q27", ["--p", "3", "--r", "3"])
 FORMATS = ("text", "json")
 
 CASES = [(f"{name}-{field}-{fmt}", flags + ["--format", fmt] + argv)
          for name, argv in EXAMPLES
-         for field, flags in FIELDS
+         for field, flags in FIELDS + (Q27,)
          for fmt in FORMATS]
 NONINTEGRAL = ("1/T*E_T", "E_T/(T+1) - Delta_T/T^2", "(T*h)^-1",
                "(T^2+1)^-1*Delta_T^-2*E_T", "h^-2", "g1^-1/(T-1)",
@@ -65,6 +74,13 @@ CASES += [(f"expand-nonintegral-{i}-{field}-{fmt}",
            flags + ["--format", fmt, "expand", expr])
           for i, expr in enumerate(NONINTEGRAL)
           for field, flags in FIELDS
+          for fmt in FORMATS]
+SCALAR = ("(w*T + 1)*E_T - w^2*Delta_T/(T + w)",
+          "(T + w)^-1*h^-2 + w*g1^-1/(T - w)")
+CASES += [(f"expand-scalar-{i}-{field}-{fmt}",
+           flags + ["--format", fmt, "expand", expr, "--prec", "120"])
+          for i, expr in enumerate(SCALAR)
+          for field, flags in (FIELDS[2], Q25, Q27)
           for fmt in FORMATS]
 CASES.append(("selftest-quick", ["selftest", "--profile", "quick"]))
 CASES.append(("selftest-full", ["selftest", "--profile", "full"]))
@@ -87,8 +103,11 @@ def run_case(argv, capsys):
 
 @pytest.fixture(scope="module")
 def exit_codes():
-    with open(os.path.join(GOLDEN, "exit_codes.json")) as fh:
-        return json.load(fh)
+    out = {}
+    for name in ("exit_codes.json", "exit_codes-extension-fields.json"):
+        with open(os.path.join(GOLDEN, name)) as fh:
+            out.update(json.load(fh))
+    return out
 
 
 def test_golden_case_list_is_complete(exit_codes):

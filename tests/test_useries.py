@@ -41,9 +41,9 @@ def rand_series(ctx, rng, val=-3, prec=9):
     terms = {}
     for e in range(val, prec):
         if rng.random() < 0.5:
-            c = rng.randrange(ctx.q)
+            c = FqElem(ctx, rng.randrange(ctx.q))  # any element, not only F_p
             d = rng.randrange(3)
-            terms[e] = RatFunc(Poly.from_pairs(ctx, [(d, ctx.element(c))]))
+            terms[e] = RatFunc(Poly.from_pairs(ctx, [(d, c)]))
     return USeries(ctx, terms, prec, val=val)
 
 
@@ -133,7 +133,7 @@ def series(draw, ctx, stride, cls, integral=True):
                                max_size=deg + 1))
         if i == 0:
             coeffs[-1] = 1  # keep the leading term nonzero
-        c = RatFunc(Poly.from_coeffs(ctx, coeffs))
+        c = RatFunc(Poly.from_coeffs(ctx, [FqElem(ctx, x) for x in coeffs]))
         if not integral and draw(st.booleans()):
             c = c / RatFunc(Poly.T(ctx))
         terms[val + stride * i] = c
@@ -203,6 +203,73 @@ def test_product_large_prime_takes_exact_route(monkeypatch):
     f, g = big(-3), big(2)
     assert_same_series(f * g, dict_product(f, g))
     assert calls
+
+
+def element_numerators(f, g):
+    """Oracle for integral f and g: the numerator codes of f * g, one
+    FqElem product and sum per pair of coefficients of each pair of terms.
+    FqElem products run on the exp/log tables, not on coordinate planes."""
+    ctx = f.ctx
+    prec = min(f._eff_val() + g.prec, g._eff_val() + f.prec)
+    ppow = np.array(ctx._ppow)
+    acc = {}
+    for e1, x in f.coeffs.items():
+        for e2, y in g.coeffs.items():
+            if e1 + e2 >= prec:
+                continue
+            out = acc.setdefault(e1 + e2, {})
+            for i, a in enumerate((ppow @ x.arr).tolist()):
+                for j, b in enumerate((ppow @ y.arr).tolist()):
+                    out[i + j] = (out.get(i + j, ctx.zero())
+                                  + FqElem(ctx, a) * FqElem(ctx, b))
+    nums = {}
+    for e, out in sorted(acc.items()):
+        codes = [out.get(i, ctx.zero()).code for i in range(max(out) + 1)]
+        while codes and not codes[-1]:
+            codes.pop()
+        if codes:
+            nums[e] = codes
+    return nums
+
+
+@pytest.mark.parametrize("route", ("direct", "fft"))
+@pytest.mark.parametrize("ctx", (make_field(5, 2), make_field(3, 3)),
+                         ids=("q25", "q27"))
+def test_dense_product_matches_element_products(ctx, route, monkeypatch):
+    # each route of _dense_product in turn, told which by _DIRECT_MAX:
+    # products, a square, a scalar multiple and a gapped exponent grid
+    calls = []
+    convolve = useries._convolve_mod
+
+    def counting(a, b, p):
+        calls.append(p)
+        return convolve(a, b, p)
+
+    monkeypatch.setattr(useries, "_convolve_mod", counting)
+    monkeypatch.setattr(useries, "_DIRECT_MAX",
+                        1 << 62 if route == "direct" else 0)
+    rng = random.Random(ctx.q)
+
+    def rand_integral(val, n, step, prime=False):
+        codes = ctx.p if prime else ctx.q  # prime: coordinates of w are 0
+        terms = {val + step * i: RatFunc(Poly.from_coeffs(ctx, [
+            FqElem(ctx, rng.randrange(codes))
+            for _ in range(rng.randrange(1, 7))] + [1]))
+            for i in range(n) if i == 0 or rng.random() < 0.8}
+        return USeries(ctx, terms, val + step * n)
+
+    pairs = [(rand_integral(-2, 9, 1), rand_integral(1, 7, 1)),
+             (rand_integral(0, 8, 2), rand_integral(3, 8, 2, prime=True))]
+    f = rand_integral(-1, 10, 1)
+    products = [(f, g, f * g) for f, g in pairs + [(f, f)]]
+    scale = Poly.from_coeffs(ctx, [ctx.element([1] * ctx.r), 0, 2])
+    products.append((f, USeries(ctx, {0: RatFunc(scale)}, f.prec + 1),
+                     f.scale(scale)))
+    ppow = np.array(ctx._ppow)
+    for f, g, got in products:
+        assert {e: (ppow @ n.arr).tolist() for e, n in got.coeffs.items()} \
+            == element_numerators(f, g)
+    assert bool(calls) == (route == "direct")
 
 
 def test_mul_precision_contract():
