@@ -60,7 +60,7 @@ def cmd_expand(ctx, args):
         _emit_json(series.json_dict())
     else:
         print(f"q={ctx.q} expr={expr} val={series.val} prec={series.prec}")
-        for e, c in series.terms():
+        for e, c in series.rendered_terms():
             print(f"u^{e}: {c}")
         if series.is_zero():
             print(f"0 + O(u^{series.prec})")

@@ -402,22 +402,15 @@ class FqElem:
     def __hash__(self):
         return hash((self.ctx.key, self.code))
 
-    def _monomials(self):
-        # nonzero (power of w, residue) pairs, highest power first
-        return [(i, d) for i, d in reversed(list(enumerate(self.coords)))
-                if d]
-
     def __str__(self):
-        if self.code == 0:
-            return "0"
+        # the nonzero coordinates, highest power of w first
         parts = []
-        for i, d in self._monomials():
-            if i == 0:
-                parts.append(str(d))
-            else:
+        for i, d in reversed(list(enumerate(self.coords))):
+            if d:
                 wpow = "w" if i == 1 else f"w^{i}"
-                parts.append(wpow if d == 1 else f"{d}*{wpow}")
-        return "+".join(parts)
+                parts.append(str(d) if i == 0 else wpow if d == 1
+                             else f"{d}*{wpow}")
+        return "+".join(parts) or "0"
 
     def __repr__(self):
         return f"FqElem({self}, q={self.ctx.q})"
@@ -736,29 +729,40 @@ class Poly:
         return hash((self.ctx.key, self.arr.shape[1], self.arr.tobytes()))
 
     def __str__(self):
-        if self.is_zero():
-            return "0"
-        # one code per column; an FqElem only for codes outside F_p
-        ctx, parts = self.ctx, []
-        for j, code in reversed(list(enumerate((ctx._ppow @ self.arr)
-                                               .tolist()))):
-            if not code:
-                continue
-            c = str(code) if code < ctx.p else str(FqElem(ctx, code))
-            if j == 0:
-                parts.append(f"({c})" if "+" in c else c)
-                continue
-            tp = "T" if j == 1 else f"T^{j}"
-            if code == 1:
-                parts.append(tp)
-            elif code < ctx.p:
-                parts.append(f"{c}*{tp}")
-            else:
-                parts.append(f"({c})*{tp}")
-        return " + ".join(parts)
+        return _rendered_rows(self.ctx, self.arr[:, None])[0]
 
     def __repr__(self):
         return f"Poly({self}, q={self.ctx.q})"
+
+
+_COEFF_STRINGS = {}  # ctx.key -> {code: (as a constant, before T)}
+
+
+def _rendered_rows(ctx, block):
+    """The rows block[:, i] of a coefficient block, coordinate x row x
+    power of T, each rendered as a polynomial, highest power first, from
+    the codes of the whole block taken in one product.  Codes outside F_p
+    are parenthesised before T, and as a constant when they are a sum;
+    the strings of each code are kept per field on first use."""
+    codes = (ctx._ppow @ block.reshape(ctx.r, -1)).reshape(block.shape[1:])
+    strings = _COEFF_STRINGS.setdefault(ctx.key, {})
+    out = []
+    for row in codes.tolist():
+        terms = []
+        for j in range(len(row) - 1, -1, -1):
+            code = row[j]
+            if not code:
+                continue
+            s = strings.get(code)
+            if s is None:
+                c = str(FqElem(ctx, code))
+                s = strings[code] = (
+                    (c, "" if code == 1 else f"{c}*") if code < ctx.p
+                    else (f"({c})" if "+" in c else c, f"({c})*"))
+            terms.append(s[0] if j == 0 else f"{s[1]}T" if j == 1
+                         else f"{s[1]}T^{j}")
+        out.append(" + ".join(terms) if terms else "0")
+    return out
 
 
 def special_modulus(ctx, d):
@@ -1247,40 +1251,43 @@ def _lowest_fractions(ctx, rem, den):
     return _times_coords(ctx, -inv % p, s), _times_coords(ctx, inv, t)
 
 
-def _reduced_entries(ctx, block, dens):
-    """The entries of the rows block[:, i] / dens[i] as reduced RatFunc.
-    One long division per distinct denominator gives the integral entries
-    as quotients; the others, quotient plus a proper fraction, have their
-    fractions reduced together by ``_lowest_fractions``."""
-    _, one, zero, _ = _constants(ctx)
-    cols = block.shape[2]
-    out = [None] * len(dens)
-    groups = {}
+def _lowest_entries(ctx, block, dens):
+    """The entries of the rows block[:, i] / dens[i] in lowest terms: a
+    numerator block and a block of monic denominators, both coordinate x
+    row x column x power of T, and the mask, row x column, of the entries
+    whose denominator is not 1.  One long division per distinct
+    denominator gives the integral entries as quotients; the others,
+    quotient plus a proper fraction, have their fractions reduced together
+    by ``_lowest_fractions``."""
+    r, rows, cols, width = block.shape
+    one, groups = Poly.one(ctx), {}
     for i, d in enumerate(dens):
-        groups.setdefault(d, []).append(i)
+        if d is not one and not d.is_one():
+            groups.setdefault(d, []).append(i)
+    nums = np.array(block) if groups else block
     at, quots, rems, ds = [], [], [], []  # the entries with a remainder
-    for d, rows in groups.items():
-        quot, rem = ((block[:, rows], block[:, rows, :, :0]) if d.is_one()
-                     else _rows_divmod(ctx, block[:, rows], d.arr))
-        frac = rem.any(axis=(0, 3)).tolist()
-        nonzero = quot.any(axis=(0, 3)).tolist()
-        for n, i in enumerate(rows):
-            out[i] = [None if frac[n][j] else
-                      RatFunc._reduced(Poly(ctx, quot[:, n, j]), one)
-                      if nonzero[n][j] else zero for j in range(cols)]
-            for j in (j for j in range(cols) if frac[n][j]):
-                at.append((i, j))
-                quots.append(quot[:, n, j])
-                rems.append(rem[:, n, j])
-                ds.append(d.arr)
+    for d, idx in groups.items():
+        quot, rem = _rows_divmod(ctx, block[:, idx], d.arr)
+        nums[:, idx] = _padded(quot, width)
+        for n, j in zip(*np.nonzero(rem.any(axis=(0, 3)))):
+            at.append((idx[n], j))
+            quots.append(quot[:, n, j])
+            rems.append(rem[:, n, j])
+            ds.append(d.arr)
+    frac = np.zeros((rows, cols), dtype=bool)
+    den = np.zeros((r, rows, cols, 1), dtype=np.int64)
+    den[0, ..., 0] = 1
     if at:
-        num, den = _lowest_fractions(ctx, _stacked(rems), _stacked(ds))
-        prod = _batch_product(ctx, _stacked(quots), den)
+        num, lowest = _lowest_fractions(ctx, _stacked(rems), _stacked(ds))
+        prod = _batch_product(ctx, _stacked(quots), lowest)
         num = (_padded(num, prod.shape[-1]) + prod) % ctx.p
-        for n, (i, j) in enumerate(at):
-            out[i][j] = RatFunc._reduced(Poly(ctx, num[:, n]),
-                                         Poly(ctx, den[:, n]))
-    return tuple(map(tuple, out))
+        i, j = np.array(at).T
+        frac[i, j] = True
+        nums = _padded(nums, max(width, num.shape[-1]))
+        nums[:, i, j] = _padded(num, nums.shape[-1])
+        den = _padded(den, lowest.shape[-1])
+        den[:, i, j] = lowest
+    return nums, den, frac
 
 
 class Matrix:
@@ -1291,11 +1298,13 @@ class Matrix:
     power of T, with entries in [0, p) and a nonzero last T-column, and
     row i of the matrix is block[:, i] / dens[i].  A row need not be in
     lowest terms: equality compares the cross products
-    block[:, i] * dens'[i] and block'[:, i] * dens[i].  ``entries``, every
-    entry as a reduced RatFunc, is built on first read.
+    block[:, i] * dens'[i] and block'[:, i] * dens[i].  The entries in
+    lowest terms are computed on first read, once for ``entries``, every
+    entry as a RatFunc, and ``rendered``, every entry as a string.
     """
 
-    __slots__ = ("ctx", "rows", "cols", "block", "dens", "_entries")
+    __slots__ = ("ctx", "rows", "cols", "block", "dens", "_lowest",
+                 "_entries")
 
     def __init__(self, ctx, entries):
         entries = [[_as_ratfunc(ctx, e) for e in row] for row in entries]
@@ -1326,17 +1335,42 @@ class Matrix:
         _, self.rows, self.cols, _ = block.shape
         self.block = block
         self.dens = tuple(dens)
-        self._entries = None
+        self._lowest = self._entries = None
+
+    def _lowest_terms(self):
+        if self._lowest is None:
+            self._lowest = _lowest_entries(self.ctx, self.block, self.dens)
+        return self._lowest
 
     @property
     def entries(self):
-        """The entries as a tuple of rows of RatFunc, built on first read."""
+        """The entries as a tuple of rows of RatFunc."""
         if self._entries is None:
-            self._entries = _reduced_entries(self.ctx, self.block, self.dens)
+            ctx, (nums, den, frac) = self.ctx, self._lowest_terms()
+            _, one, zero, _ = _constants(ctx)
+            nonzero = nums.any(axis=(0, 3)).tolist()
+            self._entries = tuple(tuple(
+                RatFunc._reduced(Poly(ctx, nums[:, i, j]),
+                                 Poly(ctx, den[:, i, j]) if f else one)
+                if nz else zero for j, (f, nz) in enumerate(zip(fr, nzr)))
+                for i, (fr, nzr) in enumerate(zip(frac.tolist(), nonzero)))
         return self._entries
 
     def row(self, i):
         return self.entries[i]
+
+    def rendered(self):
+        """The entries as strings, row by row, as ``str`` renders their
+        RatFunc, from the blocks of numerators and denominators."""
+        nums, den, frac = self._lowest_terms()
+        r, rows, cols, width = nums.shape
+        strings = _rendered_rows(self.ctx,
+                                 nums.reshape(r, rows * cols, width))
+        if frac.any():
+            dens = iter(_rendered_rows(self.ctx, den[:, frac]))
+            strings = [f"({s})/({next(dens)})" if f else s
+                       for s, f in zip(strings, frac.ravel().tolist())]
+        return [strings[i * cols:(i + 1) * cols] for i in range(rows)]
 
     def _den_block(self):
         # the row denominators as a block, one column

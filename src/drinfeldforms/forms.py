@@ -475,9 +475,15 @@ class FormExpr:
     def parse(cls, ctx, text):
         """Parse text in the package's expression grammar (see
         ``fieldpoly.parse_expr``) with the six generators as names."""
-        names = {n: cls.generator(ctx, n) for n in GENERATOR_NAMES}
+        names = _GENERATOR_EXPRS.get(ctx.key)
+        if names is None:
+            names = _GENERATOR_EXPRS[ctx.key] = {
+                n: cls.generator(ctx, n) for n in GENERATOR_NAMES}
         out = parse_expr(ctx, text, names)
         return out if isinstance(out, FormExpr) else cls.scalar(ctx, out)
+
+
+_GENERATOR_EXPRS = {}  # ctx.key -> the six generators as FormExpr, by name
 
 
 # ---------------------------------------------------------------------------

@@ -15,10 +15,10 @@ its left kernel has dimension N + 1, and the two spans agree exactly
 when every phi row annihilates M and the phi rank is N + 1: the
 strongest single check this package performs.
 
-The report works on matrix blocks (see ``fieldpoly.Matrix``): the dual
-matrix is read from the numerator blocks of the basis series, and the
-unitriangular check and the annihilation check are products of
-polynomial blocks.  RatFunc objects are built only for what is printed.
+The report works on matrix blocks (see ``fieldpoly.Matrix``): the phi
+rows and the dual matrix are read from the numerator blocks of their
+series, the unitriangular check and the annihilation check are products
+of polynomial blocks, and the printed rows are rendered from blocks.
 """
 
 from __future__ import annotations
@@ -49,50 +49,48 @@ class RelationVector:
     N: int
     c: tuple
 
-    def json_dict(self, basis_g=None):
-        out = {
-            "q": self.spec.ctx.q,
-            "k": self.spec.k,
-            "l": self.spec.l,
-            "N": self.N,
-            "b": [str(x) for x in self.c],
-        }
-        if basis_g is not None:
-            out["basis_g"] = basis_g
-        return out
-
 
 @dataclass(frozen=True)
 class BMatrix:
-    """Rows phi(g_j) over the monomial basis g_j of M_{N(q-1)+2l, l}."""
+    """Rows phi(g_j) over the monomial basis g_j of M_{N(q-1)+2l, l}, held
+    as one matrix."""
 
     spec: FormSpec
     N: int
     labels: tuple
-    rows: tuple
+    matrix: Matrix
 
-    def matrix(self):
-        ctx = self.spec.ctx
-        return Matrix(ctx, [row.c for row in self.rows])
+    @property
+    def rows(self):
+        return tuple(RelationVector(self.spec, self.N, c)
+                     for c in self.matrix.entries)
+
+
+def _phi_matrix(ctx, k, l, N, gs, prec=None):
+    """The principal-part coefficients of h g / (Delta_T^(r+N+1) E_T^(2l))
+    for every form g in ``gs``, one matrix row each, read from one block.
+
+    Reads b_i at exponent -i(q-1) + 1 - l for i = 0 .. r+N+1; each row
+    annihilates every form in M_{k,l} under sum_i c_i a_f(i(q-1)+l).  The
+    factor h / (Delta_T^(r+N+1) E_T^(2l)) is built once for all rows.
+    """
+    rN = FormSpec(ctx, k, l).r + N + 1
+    if prec is None:  # covers the coefficient at (q-1) + 1 - l as well
+        prec = (ctx.q - 1) + 2 - l
+    shared = (FormExpr.generator(ctx, "h")
+              * FormExpr.generator(ctx, "Delta_T") ** (-rN)
+              * FormExpr.generator(ctx, "E_T") ** (-2 * l))
+    exps = 1 - l - (ctx.q - 1) * np.arange(rN + 1)
+    return _coefficients(ctx, [expand(shared * g, prec) for g in gs], exps)
 
 
 def compute_b_vector(ctx, k, l, N, g, prec=None):
-    """Principal-part coefficients of h g / (Delta_T^(r+N+1) E_T^(2l)).
-
-    Reads b_i at exponent -i(q-1) + 1 - l for i = 0 .. r+N+1; the result
-    annihilates every form in M_{k,l} under sum_i c_i a_f(i(q-1)+l).
-    """
+    """The relation vector of one form g of M_{N(q-1)+2l, l}: the one-row
+    case of ``_phi_matrix``."""
     spec = FormSpec(ctx, k, l)
-    rN = spec.r + N + 1
     g.check_in_space(N * (ctx.q - 1) + 2 * l, l)
-    if prec is None:  # covers the coefficient at (q-1) + 1 - l as well
-        prec = (ctx.q - 1) + 2 - l
-    expr = (FormExpr.generator(ctx, "h") * g
-            * FormExpr.generator(ctx, "Delta_T") ** (-rN)
-            * FormExpr.generator(ctx, "E_T") ** (-2 * l))
-    exps = 1 - l - (ctx.q - 1) * np.arange(rN + 1)
-    return RelationVector(spec, N, _coefficients(ctx, [expand(expr, prec)],
-                                                 exps).entries[0])
+    return RelationVector(spec, N,
+                          _phi_matrix(ctx, k, l, N, [g], prec).entries[0])
 
 
 def phi(ctx, k, l, N, prec=None):
@@ -100,12 +98,10 @@ def phi(ctx, k, l, N, prec=None):
     M_{N(q-1)+2l, l}, in basis order."""
     if N < 0:
         raise ValueError(f"N = {N} must be nonnegative")
-    kg = N * (ctx.q - 1) + 2 * l
-    monos = basis(ctx, kg, l)
-    rows = tuple(compute_b_vector(ctx, k, l, N, m.expr(ctx), prec)
-                 for m in monos)
+    monos = basis(ctx, N * (ctx.q - 1) + 2 * l, l)
     return BMatrix(FormSpec(ctx, k, l), N, tuple(m.label() for m in monos),
-                   rows)
+                   _phi_matrix(ctx, k, l, N, [m.expr(ctx) for m in monos],
+                               prec))
 
 
 def _coefficients(ctx, series, exps):
@@ -206,22 +202,20 @@ def relation_report(ctx, k, l, N):
         raise NotUnitriangular(
             "the dual matrix is not unitriangular on its first r + 1 rows")
     kernel_dim = dual.rows - dual.cols
-    phim = bm.matrix()
+    phim = bm.matrix
     scaled, _ = _over_common_den(ctx, dual.block, dual.dens)
     annihilates = not (_batch_product(
         ctx, phim.block[:, :, None], scaled.swapaxes(1, 2)[:, None]
     ).sum(axis=-2) % ctx.p).any()
     echelon, pivots = phim.rref()
     equal = annihilates and len(pivots) == kernel_dim
-    kernel = echelon.entries if equal else left_kernel(dual)
+    head = {"q": ctx.q, "k": k, "l": l, "N": N}
     return {
-        "q": ctx.q,
-        "k": k,
-        "l": l,
-        "N": N,
-        "phi": [row.json_dict(basis_g=label)
-                for row, label in zip(bm.rows, bm.labels)],
-        "kernel": [[str(c) for c in v] for v in kernel],
+        **head,
+        "phi": [dict(head, b=b, basis_g=label)
+                for b, label in zip(phim.rendered(), bm.labels)],
+        "kernel": (echelon.rendered() if equal else
+                   [[str(c) for c in v] for v in left_kernel(dual)]),
         "report": {
             "phi_rank": len(pivots),
             "kernel_dim": kernel_dim,

@@ -49,9 +49,10 @@ import math
 import numpy as np
 
 from .errors import MixedField, PrecisionExceeded, ZeroSeries
-from .fieldpoly import (FqElem, Poly, RatFunc, _as_ratfunc, _cleared_row,
-                        _convolve_mod, _frobenius_array, _lowest_terms,
-                        _padded, _poly_product, _power, _stacked, _trimmed)
+from .fieldpoly import (FqElem, Matrix, Poly, RatFunc, _as_ratfunc,
+                        _cleared_row, _convolve_mod, _frobenius_array,
+                        _lowest_terms, _padded, _poly_product, _power,
+                        _stacked, _times_coords, _trimmed)
 
 
 def _times(a, b):
@@ -286,9 +287,12 @@ class USeries:
         if s.is_zero():
             return USeries.zero(self.ctx, self.prec)
         block = self.block
-        if not s.num.is_one() and not self.is_zero():
-            block = _dense_product(self.ctx, block, s.num.arr[:, None, :],
-                                   block.shape[1])
+        if not (s.num.is_one() or self.is_zero()):
+            # a constant numerator needs no convolution
+            block = (_times_coords(self.ctx, s.num.arr[:, 0], block)
+                     if s.num.degree == 0 else
+                     _dense_product(self.ctx, block, s.num.arr[:, None, :],
+                                    block.shape[1]))
         return USeries._make(self.ctx, self.exps, block,
                              _times(self.den, s.den), self.val, self.prec,
                              self.support_class, sums=False)
@@ -502,18 +506,28 @@ class USeries:
                      self.exps.tobytes(), self.block.shape,
                      self.block.tobytes()))
 
+    def rendered_terms(self):
+        """Stored (exponent, coefficient string) pairs, exponents
+        ascending, rendered from the block as the one column of a matrix
+        over den, so that each coefficient is in lowest terms."""
+        column = Matrix._of(self.ctx, self.block[:, :, None],
+                            [self.den] * self.exps.size)
+        return [(e, s) for e, (s,) in zip(self.exps.tolist(),
+                                          column.rendered())]
+
     def json_dict(self):
         """Stable serialization: terms sorted by exponent."""
         return {
             "val": self.val,
             "prec": self.prec,
-            "terms": [{"exp": e, "coeff": str(c)} for e, c in self.terms()],
+            "terms": [{"exp": e, "coeff": c}
+                      for e, c in self.rendered_terms()],
         }
 
     def __str__(self):
         if self.is_zero():
             return f"O(u^{self.prec})"
-        body = " + ".join(f"({c})*u^{e}" for e, c in self.terms())
+        body = " + ".join(f"({c})*u^{e}" for e, c in self.rendered_terms())
         return f"{body} + O(u^{self.prec})"
 
     def __repr__(self):

@@ -821,6 +821,9 @@ def assert_same_echelon(m):
     for x in (x for row in red.entries for x in row):
         assert x.den.is_monic() and x.num.gcd(x.den).is_one()
     assert all(red.entries[i][c].is_one() for i, c in enumerate(piv))
+    for mat in (m, red):  # strings from the blocks, as str renders entries
+        assert mat.rendered() == [[str(x) for x in row]
+                                  for row in mat.entries]
 
 
 @st.composite

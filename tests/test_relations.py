@@ -3,7 +3,8 @@ import pytest
 from drinfeldforms import relations
 from drinfeldforms.errors import BadWeight, EmptySpace, NotUnitriangular
 from drinfeldforms.fieldpoly import Matrix, Poly, RatFunc, make_field
-from drinfeldforms.forms import FormExpr, basis_series, expand, space_dim
+from drinfeldforms.forms import (FormExpr, basis, basis_series, expand,
+                                 space_dim)
 from drinfeldforms.relations import (
     BMatrix,
     RelationVector,
@@ -35,7 +36,7 @@ def psi_apply(cvec, f, l):
 
 def bmatrix_rank(bm):
     """The rank of the phi rows, by elimination of the whole matrix."""
-    return bm.matrix().rank()
+    return bm.matrix.rank()
 
 
 # ---------------------------------------------------------------------------
@@ -150,6 +151,30 @@ def test_phi_single_row_for_N0():
     assert bm.labels == ("1",)  # weight-0 source space is the constants
 
 
+@pytest.mark.parametrize("ctx", (F3, F5, F9), ids=lambda c: f"q{c.q}")
+def test_phi_rows_match_compute_b_vector(ctx):
+    # phi reads every row from one block; each row is the one-row read of
+    # its monomial, and both are the coefficients read one at a time
+    q = ctx.q
+    for k, l, N in ((r * (q - 1) + 2 * l, l, N) for l in range(q - 1)
+                    for r in range(6) for N in range(4)
+                    if r * (q - 1) + 2 * l >= 1):
+        bm = phi(ctx, k, l, N)
+        monos = basis(ctx, N * (q - 1) + 2 * l, l)
+        assert bm.labels == tuple(m.label() for m in monos)
+        want = tuple(compute_b_vector(ctx, k, l, N, m.expr(ctx))
+                     for m in monos)
+        assert bm.rows == want, (k, l, N)
+        rN = (k - 2 * l) // (q - 1) + N + 1
+        shared = (FormExpr.parse(ctx, "h")
+                  * FormExpr.parse(ctx, "Delta_T") ** (-rN)
+                  * FormExpr.parse(ctx, "E_T") ** (-2 * l))
+        for m, row in zip(monos, want):
+            series = expand(shared * m.expr(ctx), q + 1 - l)
+            assert row == RelationVector(bm.spec, N, tuple(
+                series.coeff(1 - l - i * (q - 1)) for i in range(rN + 1)))
+
+
 def test_relation_report_shapes():
     rep = relation_report(F3, 4, 1, 1)
     assert rep["report"]["phi_rank"] == 2
@@ -228,14 +253,17 @@ def test_dual_matrix_matches_entrywise_reading(ctx, monkeypatch):
             assert relations._unitriangular(dual, r) == (not scales)
 
 
-def _perturbed_phi(monkeypatch, bump):
+def _perturbed_phi(monkeypatch, bump, every_row=False):
+    """relations.phi with the entries c of its last row, or of every row,
+    replaced by bump(ctx, c), built as phi builds it: one Matrix."""
     real_phi = relations.phi
 
     def fake_phi(ctx, k, l, N, prec=None):
         bm = real_phi(ctx, k, l, N, prec)
-        rows = list(bm.rows)
-        rows[-1] = RelationVector(bm.spec, N, bump(ctx, rows[-1].c))
-        return BMatrix(bm.spec, N, bm.labels, tuple(rows))
+        rows = list(bm.matrix.entries)
+        for i in range(len(rows)) if every_row else (-1,):
+            rows[i] = bump(ctx, rows[i])
+        return BMatrix(bm.spec, N, bm.labels, Matrix(ctx, rows))
 
     monkeypatch.setattr(relations, "phi", fake_phi)
 
@@ -290,14 +318,9 @@ def test_report_over_a_dual_matrix_with_a_denominator(ctx, k, l, N,
         rows[-1] = [x / f for x in rows[-1]]
         return Matrix(ctx, rows)
 
-    def fake_phi(ctx, k, l, N, prec=None):
-        bm = real_phi(ctx, k, l, N, prec)
-        rows = tuple(RelationVector(bm.spec, N, row.c[:-1] + (row.c[-1] * f,))
-                     for row in bm.rows)
-        return BMatrix(bm.spec, N, bm.labels, rows)
-
     monkeypatch.setattr(relations, "_dual_matrix", fake_dual)
-    monkeypatch.setattr(relations, "phi", fake_phi)
+    _perturbed_phi(monkeypatch, lambda ctx, c: c[:-1] + (c[-1] * f,),
+                   every_row=True)
     rep = relation_report(ctx, k, l, N)
     assert rep["report"] == {"phi_rank": N + 1, "kernel_dim": N + 1,
                              "spans_equal": True, "annihilates": True}

@@ -11,7 +11,8 @@ from drinfeldforms.errors import (
     PrecisionExceeded,
     ZeroSeries,
 )
-from drinfeldforms.fieldpoly import FqElem, Poly, RatFunc, make_field
+from drinfeldforms.fieldpoly import (FqElem, Poly, RatFunc, _rendered_rows,
+                                    make_field)
 from drinfeldforms.useries import USeries
 
 F3 = make_field(3, 1)
@@ -890,3 +891,132 @@ def test_json_zero_series():
     d = USeries.zero(F3, 4).json_dict()
     assert d["terms"] == []
     assert d["prec"] == 4
+
+
+# ---------------------------------------------------------------------------
+# rendering from blocks, against one FqElem per column
+
+
+F25 = make_field(5, 2)
+F27 = make_field(3, 3)
+
+
+def poly_str_oracle(f):
+    """A polynomial rendered one column at a time, highest power first:
+    codes outside F_p as FqElem, parenthesised before T, and as a constant
+    term when they are a sum."""
+    if f.is_zero():
+        return "0"
+    ctx, parts = f.ctx, []
+    for j, code in reversed(list(enumerate((ctx._ppow @ f.arr).tolist()))):
+        if not code:
+            continue
+        c = str(code) if code < ctx.p else str(FqElem(ctx, code))
+        if j == 0:
+            parts.append(f"({c})" if "+" in c else c)
+            continue
+        tp = "T" if j == 1 else f"T^{j}"
+        if code == 1:
+            parts.append(tp)
+        elif code < ctx.p:
+            parts.append(f"{c}*{tp}")
+        else:
+            parts.append(f"({c})*{tp}")
+    return " + ".join(parts)
+
+
+def ratfunc_str_oracle(c):
+    if c.den.is_one():
+        return poly_str_oracle(c.num)
+    return f"({poly_str_oracle(c.num)})/({poly_str_oracle(c.den)})"
+
+
+@st.composite
+def code_block(draw):
+    """A field and a coefficient block, coordinate x row x power of T,
+    with zero rows, and codes in and outside F_p at every power of T."""
+    ctx = draw(st.sampled_from((F3, F5, F9, F25, F27)))
+    rows = draw(st.integers(0, 5))
+    width = draw(st.integers(0, 7))
+    code = st.one_of(st.just(0), st.integers(1, ctx.p - 1),
+                     st.integers(0, ctx.q - 1))
+    codes = [draw(st.lists(code, min_size=width, max_size=width))
+             if draw(st.integers(0, 3)) else [0] * width
+             for _ in range(rows)]
+    block = np.zeros((ctx.r, rows, width), dtype=np.int64)
+    for i, row in enumerate(codes):
+        for j, x in enumerate(row):
+            block[:, i, j] = FqElem(ctx, x).coords
+    return ctx, block
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(code_block(), st.integers(0, 3))
+def test_block_renderer_matches_column_oracle(case, den_kind):
+    ctx, block = case
+    # every row, zero rows included, as Poly.__str__ and from the block
+    polys = [Poly(ctx, block[:, i]) for i in range(block.shape[1])]
+    assert [str(f) for f in polys] == [poly_str_oracle(f) for f in polys]
+    assert _rendered_rows(ctx, block) == [poly_str_oracle(f)
+                                         for f in polys]
+    # the nonzero rows as a series, integral or over a denominator
+    T = Poly.T(ctx)
+    den = (Poly.one(ctx), T, T + 1,
+           T * T + Poly.constant(ctx, FqElem(ctx, ctx.q - 1)))[den_kind]
+    terms = {3 * i - 2: RatFunc(f, den) for i, f in enumerate(polys)
+             if not f.is_zero()}
+    s = USeries(ctx, terms, 3 * len(polys) + 1)
+    want = [(e, ratfunc_str_oracle(c)) for e, c in s.terms()]
+    assert s.json_dict() == {"val": s.val, "prec": s.prec,
+                             "terms": [{"exp": e, "coeff": c}
+                                       for e, c in want]}
+    assert str(s) == (" + ".join(f"({c})*u^{e}" for e, c in want)
+                      + f" + O(u^{s.prec})" if want else f"O(u^{s.prec})")
+
+
+def test_block_renderer_covers_denominators_and_extension_codes():
+    # the cases the hypothesis test is meant to reach, pinned
+    w = FqElem(F9, 3)
+    f = Poly.from_coeffs(F9, [w + 1, 0, w, 2])
+    assert str(f) == poly_str_oracle(f) == "2*T^3 + (w)*T^2 + (w+1)"
+    s = USeries(F9, {1: RatFunc(f, Poly.T(F9) + 1)}, 4)
+    assert not s.integral
+    assert s.json_dict()["terms"] == [
+        {"exp": 1, "coeff": f"({poly_str_oracle(f)})/(T + 1)"}]
+
+
+# ---------------------------------------------------------------------------
+# scaling by a constant, against the convolution route
+
+
+@pytest.mark.parametrize("ctx", (F3, F9, F25), ids=lambda c: f"q{c.q}")
+def test_constant_scale_matches_dense_product(ctx):
+    rng = random.Random(ctx.q)
+    consts = [0, 1, 2, ctx.p - 1] + [FqElem(ctx, c) for c in
+                                     (ctx.p, ctx.p + 1, ctx.q - 1)
+                                     if c >= ctx.p]
+    for trial in range(6):
+        f = rand_series(ctx, rng)
+        if trial % 2:
+            f = f.scale(RatFunc(Poly.one(ctx), Poly.T(ctx) + 1))
+        cls = 1 % (ctx.q - 1)
+        g = USeries(ctx, {e: c for e, c in f.terms()
+                          if e % (ctx.q - 1) == cls}, f.prec,
+                    support_class=cls)
+        for s in (f, g):
+            for c in consts:
+                c = RatFunc.constant(ctx, c)
+                out = s.scale(c)
+                if c.is_zero():
+                    assert out.is_zero() and out.prec == s.prec
+                    continue
+                want = s.block
+                if not (c.is_one() or s.is_zero()):
+                    want = useries._dense_product(
+                        ctx, s.block, c.num.arr[:, None, :], s.block.shape[1])
+                assert np.array_equal(out.block, want)
+                assert np.array_equal(out.exps, s.exps)
+                assert (out.den, out.val, out.prec, out.support_class) == (
+                    s.den, s.val, s.prec, s.support_class)
+                assert_canonical_block(out)
+                assert all(out.coeff(e) == c * x for e, x in s.terms())

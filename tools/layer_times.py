@@ -18,6 +18,12 @@ Linear algebra: ``relation_report`` for q in {3, 5, 9}, type l = 1,
 r in {1, 3, 5} and N = 3, from a warm form cache (one untimed report
 first), so that the kernel, rank and span checks dominate.
 
+Sweeps at q = 5, from a warm form cache: ``relation_report`` over the
+92 cases of the relation sweep (every type l, r <= 5, N <= 3), and
+``build_residue_form`` plus ``json_dict`` over the 182 cases of the
+residue sweep (r <= 7, p^b <= 27), the work of the relation and residue
+ops of the sweep-q5 benchmark.
+
 Selftest: one row per criterion line of ``selftest --profile quick`` and
 ``--profile full``, the seconds of that line (field set-up and check)
 from an empty form cache, plus the whole profile, ``run_selftest``, from
@@ -48,7 +54,9 @@ import numpy as np
 
 from drinfeldforms import forms, selftest
 from drinfeldforms.carlitz import monic_series_sum
+from drinfeldforms.congruence import _b_max, build_residue_form, find_ab
 from drinfeldforms.fieldpoly import make_field
+from drinfeldforms.forms import basis, valid_specs
 from drinfeldforms.relations import relation_report
 
 FIELDS = {3: (3, 1), 5: (5, 1), 9: (3, 2)}
@@ -107,6 +115,31 @@ def relation_rows():
     return rows
 
 
+def sweep_rows():
+    ctx = make_field(*FIELDS[5])
+    q = ctx.q
+    relations = [(r * (q - 1) + 2 * l, l, N) for l in range(q - 1)
+                 for r in range(6) for N in range(4)
+                 if r * (q - 1) + 2 * l >= 1]
+    residues = [(m.expr(ctx), k, l, a) for k, l, _ in valid_specs(ctx, 7)
+                for a, _ in find_ab(ctx, k, l, 1, _b_max(ctx, 27))
+                for m in basis(ctx, k, l)]
+    sweeps = {
+        "relation_report": (len(relations), lambda: [
+            relation_report(ctx, *case) for case in relations]),
+        "residue_form_json": (len(residues), lambda: [
+            build_residue_form(ctx, f, k, l, a).json_dict()
+            for f, k, l, a in residues]),
+    }
+    rows = []
+    for name, (cases, run) in sweeps.items():
+        row = {"q": q, "sweep": name, "cases": cases,
+               "s": round(timed(lambda *_: run(), None, None, warm=True), 4)}
+        print(json.dumps(row), file=sys.stderr, flush=True)
+        rows.append(row)
+    return rows
+
+
 def selftest_rows():
     rows = []
     for profile in ("quick", "full"):
@@ -152,16 +185,18 @@ def main(argv=None):
             print(json.dumps(row), file=sys.stderr, flush=True)
             rows.append(row)
     out = {"what": "median time in seconds: generator builds and selftest "
-                   "lines from an empty form cache, relation reports from "
-                   "a warm one; the form cache after each selftest line",
+                   "lines from an empty form cache, relation reports and "
+                   "sweeps from a warm one; the form cache after each "
+                   "selftest line",
            "runs": RUNS, "host": host(), "results": rows,
-           "relations": relation_rows(), "selftest": selftest_rows()}
+           "relations": relation_rows(), "sweeps": sweep_rows(),
+           "selftest": selftest_rows()}
     if args.parent:
         with open(args.parent) as fh:
             old = json.load(fh)
-        out["parent"] = {key: old[key] for key in ("host", "results",
-                                                   "relations", "selftest")
-                         if key in old}
+        out["parent"] = {key: old[key] for key in (
+            "host", "results", "relations", "sweeps", "selftest")
+            if key in old}
     with open(args.out, "w") as fh:
         json.dump(out, fh, indent=2)
         fh.write("\n")
