@@ -151,8 +151,7 @@ def _batch_sum(ctx, kept, power, prec):
         block[:, power * (q ** d - 1) // (q - 1):, :g.shape[2]] += g
     # a sum that cancels keeps the valuation of its last term
     return USeries._make(ctx, power + (q - 1) * np.arange(block.shape[1]),
-                         block % p, den, power * q ** d, prec,
-                         power % (q - 1))
+                         block % p, den, power * q ** d, prec)
 
 
 def monic_power_sum(ctx, power, prec):
@@ -185,12 +184,11 @@ def monic_power_sum(ctx, power, prec):
         top += 1
     rel = [prec - power * val(d) for d in range(top + 1)]
     # v[j] holds V_(d-1)[j] for j >= d at step d; V_0[0] = 1 is left out
-    v = [None] + [USeries._of(ctx, {
+    v = [None] + [USeries(ctx, {
         q ** j - q ** i: c for i, c in enumerate(carlitz_map(
             Poly.T(ctx) ** j).coeffs) if q ** j - q ** i < rel[j]},
-        Poly.one(ctx), rel[j], support_class=0) for j in range(1, top + 1)]
-    total = USeries._of(ctx, {power: Poly.one(ctx)}, Poly.one(ctx), prec,
-                        support_class=power)
+        rel[j]) for j in range(1, top + 1)]
+    total = USeries.monomial(ctx, 1, power, prec)
     lead = None  # prod over 0 < i < d of V_i[i]^(q-1)
     for d in range(1, top + 1):
         if d > 1:

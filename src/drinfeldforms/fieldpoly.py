@@ -1079,7 +1079,10 @@ class _ExprParser:
 
 def parse_expr(ctx, text, names=None):
     """Evaluate an expression over F_q(T) and the atoms in ``names``."""
-    return _ExprParser(ctx, text, names or {}).parse()
+    try:
+        return _ExprParser(ctx, text, names or {}).parse()
+    except RecursionError:
+        raise ExprError("expression nested too deeply") from None
 
 
 def poly_parse(ctx, text):

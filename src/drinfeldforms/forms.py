@@ -81,8 +81,7 @@ def build_g1(ctx, prec):
         raise ValueError("prec must be at least q")
     s = monic_power_sum(ctx, ctx.q - 1, prec)
     # negating T^q - T once, not every coefficient of the sum
-    return (USeries.one(ctx, prec, support_class=0)
-            + s * -special_modulus(ctx, 1))
+    return USeries.one(ctx, prec) + s * -special_modulus(ctx, 1)
 
 
 def build_DeltaT(ctx, prec):
@@ -105,11 +104,8 @@ def build_DeltaT_from_monic_sum(ctx, prec):
     by T."""
     one = RatFunc.constant(ctx, 1)
     # T divides a exactly when its constant coefficient is zero
-    s = monic_series_sum(ctx, lambda a: one if a.arr[:, 0].any() else 0,
-                         ctx.q - 1, prec)
-    # an empty sum (prec <= q - 1) is still tagged with Delta_T's class
-    return s if not s.is_zero() else USeries.monomial(ctx, 0, 0, prec,
-                                                       support_class=0)
+    return monic_series_sum(ctx, lambda a: one if a.arr[:, 0].any() else 0,
+                            ctx.q - 1, prec)
 
 
 def build_DeltaW(ctx, prec):
@@ -181,7 +177,7 @@ class _FormCache:
         vals = [e * _GENERATORS[n](ctx.q)[2] for n, e in mono]
         rel = max(prec - sum(vals), 1)
         if not mono:
-            out = USeries.one(ctx, rel, support_class=0)
+            out = USeries.one(ctx, rel)
         elif len(mono) == 1:
             (name, exp), = mono
             v = _GENERATORS[name](ctx.q)[2]

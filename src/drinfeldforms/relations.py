@@ -66,7 +66,7 @@ class BMatrix:
                      for c in self.matrix.entries)
 
 
-def _phi_matrix(ctx, k, l, N, gs, prec=None):
+def _phi_matrix(ctx, k, l, N, gs):
     """The principal-part coefficients of h g / (Delta_T^(r+N+1) E_T^(2l))
     for every form g in ``gs``, one matrix row each, read from one block.
 
@@ -75,8 +75,7 @@ def _phi_matrix(ctx, k, l, N, gs, prec=None):
     factor h / (Delta_T^(r+N+1) E_T^(2l)) is built once for all rows.
     """
     rN = FormSpec(ctx, k, l).r + N + 1
-    if prec is None:  # covers the coefficient at (q-1) + 1 - l as well
-        prec = (ctx.q - 1) + 2 - l
+    prec = (ctx.q - 1) + 2 - l  # covers the coefficient at (q-1) + 1 - l
     shared = (FormExpr.generator(ctx, "h")
               * FormExpr.generator(ctx, "Delta_T") ** (-rN)
               * FormExpr.generator(ctx, "E_T") ** (-2 * l))
@@ -84,24 +83,23 @@ def _phi_matrix(ctx, k, l, N, gs, prec=None):
     return _coefficients(ctx, [expand(shared * g, prec) for g in gs], exps)
 
 
-def compute_b_vector(ctx, k, l, N, g, prec=None):
+def compute_b_vector(ctx, k, l, N, g):
     """The relation vector of one form g of M_{N(q-1)+2l, l}: the one-row
     case of ``_phi_matrix``."""
     spec = FormSpec(ctx, k, l)
     g.check_in_space(N * (ctx.q - 1) + 2 * l, l)
     return RelationVector(spec, N,
-                          _phi_matrix(ctx, k, l, N, [g], prec).entries[0])
+                          _phi_matrix(ctx, k, l, N, [g]).entries[0])
 
 
-def phi(ctx, k, l, N, prec=None):
+def phi(ctx, k, l, N):
     """The relation vectors of all monomial basis forms of
     M_{N(q-1)+2l, l}, in basis order."""
     if N < 0:
         raise ValueError(f"N = {N} must be nonnegative")
     monos = basis(ctx, N * (ctx.q - 1) + 2 * l, l)
     return BMatrix(FormSpec(ctx, k, l), N, tuple(m.label() for m in monos),
-                   _phi_matrix(ctx, k, l, N, [m.expr(ctx) for m in monos],
-                               prec))
+                   _phi_matrix(ctx, k, l, N, [m.expr(ctx) for m in monos]))
 
 
 def _coefficients(ctx, series, exps):
@@ -134,7 +132,7 @@ def _over_common_den(ctx, block, dens):
     return _trimmed(_batch_product(ctx, block, scales[:, :, None])), lcm
 
 
-def _dual_matrix(ctx, k, l, N, prec=None):
+def _dual_matrix(ctx, k, l, N):
     """The coefficient matrix [a_i*(f_j)], i = 0 .. r+N+1, of the
     monomial basis f_j of M_{k,l}, read from the numerator blocks of the
     basis series; its rows are in lowest terms, so that a row is
@@ -144,9 +142,7 @@ def _dual_matrix(ctx, k, l, N, prec=None):
         raise EmptySpace(f"M_{{{k},{l}}} is zero over F_{ctx.q}")
     rN = spec.r + N + 1
     q = ctx.q
-    if prec is None:
-        prec = rN * (q - 1) + l + q
-    cols = _coefficients(ctx, basis_series(ctx, k, l, prec),
+    cols = _coefficients(ctx, basis_series(ctx, k, l, rN * (q - 1) + l + q),
                          np.arange(rN + 1) * (q - 1) + l)
     rows, den = _over_common_den(ctx, cols.block, cols.dens)
     rows, dens = rows.swapaxes(1, 2), [den] * (rN + 1)
@@ -157,10 +153,10 @@ def _dual_matrix(ctx, k, l, N, prec=None):
     return Matrix._of(ctx, rows, dens)
 
 
-def kernel_oracle(ctx, k, l, N, prec=None):
+def kernel_oracle(ctx, k, l, N):
     """The relation space by elimination, independent of the unitriangular
     shape: the canonical echelon basis of the left kernel of [a_i*(f_j)]."""
-    return left_kernel(_dual_matrix(ctx, k, l, N, prec))
+    return left_kernel(_dual_matrix(ctx, k, l, N))
 
 
 def spans_equal(ctx, rows_a, rows_b):

@@ -20,9 +20,9 @@ coefficients, u^e -> sum_k C(-e, k) T^k u^(qe + (q-1)k), with the binomial
 reduced mod p by Lucas' theorem; no series product is involved.
 
 Valuations are recomputed after every operation, so leading-term
-cancellation tightens the window rather than leaving stale bounds.  Series
-over a support class c have all exponents congruent to c mod (q - 1); the
-class tag is propagated through arithmetic and checked on construction.
+cancellation tightens the window rather than leaving stale bounds.  A form
+of type l has all its exponents congruent to l mod (q - 1); a series reads
+this support class from its exponents, and no kernel computes it.
 
 Representation: a series is (1/den) * sum n_e u^e with ``den`` one monic
 polynomial and the numerators n_e in F_q[T], in lowest terms: gcd(den, n_e
@@ -69,55 +69,41 @@ class USeries:
     """Truncated Laurent series with exponent window [val, prec), stored as
     one block of polynomial numerators over a monic common denominator."""
 
-    __slots__ = ("ctx", "val", "prec", "den", "support_class", "exps",
-                 "block")
+    __slots__ = ("ctx", "val", "prec", "den", "exps", "block")
 
     def __init__(self, ctx, coeffs, prec, val=None, support_class=None):
-        values = [_as_ratfunc(ctx, c) for c in coeffs.values()]
-        nums, den = _cleared_row(ctx, values)
-        self._fill(ctx, dict(zip(coeffs, nums)), den, prec, val,
-                   support_class)
-
-    @classmethod
-    def _of(cls, ctx, nums, den, prec, val=None, support_class=None):
-        """The series (1/den) * sum nums[e] u^e from polynomial numerators."""
-        self = object.__new__(cls)
-        self._fill(ctx, nums, den, prec, val, support_class)
-        return self
-
-    def _fill(self, ctx, nums, den, prec, val, support_class):
-        # checks the window and the class, then lays out the numerators
+        """The series sum coeffs[e] u^e below prec, in a given class."""
         if not isinstance(prec, int):
             raise TypeError("prec must be an integer")
-        items = sorted((e, n.arr) for e, n in nums.items() if not n.is_zero())
+        nums, den = _cleared_row(
+            ctx, [_as_ratfunc(ctx, c) for c in coeffs.values()])
+        items = sorted((e, n.arr) for e, n in zip(coeffs, nums)
+                       if not n.is_zero())
         exps = np.array([e for e, _ in items], dtype=np.int64)
         if items and items[-1][0] >= prec:
             raise ValueError(
                 f"coefficient at u^{items[-1][0]} outside prec {prec}")
         if items and val is not None and items[0][0] < val:
             raise ValueError(f"coefficient at u^{items[0][0]} below val {val}")
-        if support_class is not None:
-            support_class %= ctx.q - 1
-            for e in exps[exps % (ctx.q - 1) != support_class][:1].tolist():
-                raise ValueError(f"exponent {e} escapes support class "
-                                 f"{support_class} mod {ctx.q - 1}")
         # the zero series gets its empty block from _setup
         block = _stacked([a for _, a in items]) if items else None
         self._setup(ctx, exps, block, den, prec if val is None else val,
-                    prec, support_class, sums=False)
+                    prec, sums=False)
+        if items and support_class is not None and (
+                self.support_class != support_class % (ctx.q - 1)):
+            raise ValueError("exponents escape support class "
+                             f"{support_class} mod {ctx.q - 1}")
 
     @classmethod
-    def _make(cls, ctx, exps, block, den, low, prec, support_class,
-              sums=True):
+    def _make(cls, ctx, exps, block, den, low, prec, sums=True):
         """The series with numerator block[:, i] at u^exps[i] over den,
         entries in [0, p), cut below prec; a zero result has valuation
         min(low, prec - 1).  ``sums`` is False when no row can be zero."""
         self = object.__new__(cls)
-        self._setup(ctx, exps, block, den, low, prec, support_class, sums)
+        self._setup(ctx, exps, block, den, low, prec, sums)
         return self
 
-    def _setup(self, ctx, exps, block, den, low, prec, support_class,
-               sums=True):
+    def _setup(self, ctx, exps, block, den, low, prec, sums=True):
         # the canonical form: zero rows and T-columns dropped, lowest terms
         # and a monic denominator
         if exps.size and exps[-1] >= prec:
@@ -145,7 +131,6 @@ class USeries:
         self.val = low
         self.prec = prec
         self.den = den
-        self.support_class = support_class
         self.exps = exps
         self.block = block
 
@@ -154,19 +139,31 @@ class USeries:
         """True when every coefficient lies in F_q[T]."""
         return bool(self.den.is_one())
 
+    @property
+    def support_class(self):
+        """The residue mod q - 1 shared by every stored exponent; None when
+        they fall in several classes or the series is zero."""
+        if not self.exps.size or _gcd(self.exps) % (self.ctx.q - 1):
+            return None
+        return int(self.exps[0]) % (self.ctx.q - 1)
+
     # -- constructors ---------------------------------------------------
     @classmethod
     def zero(cls, ctx, prec):
-        return cls._of(ctx, {}, Poly.one(ctx), prec)
+        return cls._make(ctx, np.zeros(0, dtype=np.int64), None,
+                         Poly.one(ctx), prec, prec, sums=False)
 
     @classmethod
-    def one(cls, ctx, prec, support_class=None):
+    def one(cls, ctx, prec):
+        if prec < 1:
+            raise ValueError(f"coefficient at u^0 outside prec {prec}")
         one = Poly.one(ctx)
-        return cls._of(ctx, {0: one}, one, prec, support_class=support_class)
+        return cls._make(ctx, np.zeros(1, dtype=np.int64), one.arr[:, None],
+                         one, 0, prec, sums=False)
 
     @classmethod
-    def monomial(cls, ctx, coeff, exp, prec, support_class=None):
-        return cls(ctx, {exp: coeff}, prec, support_class=support_class)
+    def monomial(cls, ctx, coeff, exp, prec):
+        return cls(ctx, {exp: coeff}, prec)
 
     # -- bookkeeping and reading ------------------------------------------
     def _check(self, other):
@@ -209,29 +206,16 @@ class USeries:
         if prec == self.prec:
             return self
         return USeries._make(self.ctx, self.exps, self.block, self.den,
-                             self.val, prec, self.support_class, sums=False)
+                             self.val, prec, sums=False)
 
     def shift(self, k):
         """Multiply by u^k (exact exponent shift)."""
         if k == 0:
             return self
-        sc = self.support_class
-        if sc is not None:
-            sc = (sc + k) % (self.ctx.q - 1)
         return USeries._make(self.ctx, self.exps + k, self.block, self.den,
-                             self.val + k, self.prec + k, sc, sums=False)
+                             self.val + k, self.prec + k, sums=False)
 
     # -- ring operations -------------------------------------------------
-    def _merged_class(self, other):
-        if self.is_zero():
-            return other.support_class
-        if other.is_zero():
-            return self.support_class
-        if self.support_class is None or other.support_class is None:
-            return None
-        return (self.support_class if self.support_class ==
-                other.support_class else None)
-
     def _combine(self, other, sign):
         # self + sign * other as one signed sum of the two blocks
         if not isinstance(other, USeries):
@@ -267,8 +251,7 @@ class USeries:
                     out[:, at, :b.shape[2]] -= b
         return USeries._make(ctx, exps, out % ctx.p,
                              self.den if same else _times(self.den, other.den),
-                             min(self.val, other.val), prec,
-                             self._merged_class(other))
+                             min(self.val, other.val), prec)
 
     def __add__(self, other):
         return self._combine(other, 1)
@@ -278,8 +261,7 @@ class USeries:
 
     def __neg__(self):
         return USeries._make(self.ctx, self.exps, -self.block % self.ctx.p,
-                             self.den, self.val, self.prec,
-                             self.support_class, sums=False)
+                             self.den, self.val, self.prec, sums=False)
 
     def scale(self, s):
         """Multiply every coefficient by a scalar from F_q(T)."""
@@ -295,7 +277,7 @@ class USeries:
                                     block.shape[1]))
         return USeries._make(self.ctx, self.exps, block,
                              _times(self.den, s.den), self.val, self.prec,
-                             self.support_class, sums=False)
+                             sums=False)
 
     def _grid(self, step, rows):
         """The rows of the block below ``rows`` laid out on the exponents
@@ -315,10 +297,6 @@ class USeries:
             ctx = self.ctx
             prec = min(self._eff_val() + other.prec,
                        other._eff_val() + self.prec)
-            sc = None
-            if (self.support_class is not None
-                    and other.support_class is not None):
-                sc = (self.support_class + other.support_class) % (ctx.q - 1)
             base = self._eff_val() + other._eff_val()
             exps, block = self.exps[:0], self.block[:, :0]
             # the u-axis is compressed by the gcd of all exponent
@@ -331,7 +309,7 @@ class USeries:
                 block = _dense_product(ctx, a, b, rows)
                 exps = base + step * np.arange(block.shape[1])
             return USeries._make(ctx, exps, block,
-                                 _times(self.den, other.den), base, prec, sc)
+                                 _times(self.den, other.den), base, prec)
         if isinstance(other, (RatFunc, Poly, FqElem, int)):
             return self.scale(other)
         return NotImplemented
@@ -393,13 +371,10 @@ class USeries:
         if not self.den.is_one():
             b = {n: _poly_product(ctx, self.den.arr, bn)
                  for n, bn in b.items()}
-        sc = None
-        if self.support_class is not None:
-            sc = (-self.support_class) % (ctx.q - 1)
         return USeries._make(ctx, -v + gap * np.array(list(b)),
                              _stacked(list(b.values())),
                              Poly(ctx, cpow[top + 1]) if not unit
-                             else Poly.one(ctx), -v, rel - v, sc, sums=False)
+                             else Poly.one(ctx), -v, rel - v, sums=False)
 
     def __pow__(self, n):
         """Integer power: p-th powers by Frobenius, the rest by binary
@@ -407,9 +382,7 @@ class USeries:
         if n < 0:
             return self.inverse() ** (-n)
         if n == 0:
-            rel = max(self.prec - self._eff_val(), 1)
-            sc = 0 if self.support_class is not None else None
-            return USeries.one(self.ctx, rel, support_class=sc)
+            return USeries.one(self.ctx, max(self.prec - self._eff_val(), 1))
         if n % self.ctx.p == 0:
             return self._frobenius() ** (n // self.ctx.p)
         return _power(self, n, None)  # n >= 1, so x^0 is never needed
@@ -420,24 +393,18 @@ class USeries:
         ctx = self.ctx
         p = ctx.p
         v = self._eff_val()
-        sc = self.support_class
-        if sc is not None:
-            sc = sc * p % (ctx.q - 1)
         return USeries._make(ctx, p * self.exps,
                              _frobenius_array(ctx, self.block),
                              self.den._frobenius(), p * v,
-                             p * v + self.prec - v, sc, sums=False)
+                             p * v + self.prec - v, sums=False)
 
     def theta(self):
         """Theta = -u^2 d/du, exact in characteristic p: sum c_e u^e maps to
         sum -e c_e u^(e+1), so terms with p | e vanish."""
         ctx = self.ctx
-        sc = self.support_class
-        if sc is not None:
-            sc = (sc + 1) % (ctx.q - 1)
         block = self.block * (-self.exps % ctx.p)[None, :, None] % ctx.p
         return USeries._make(ctx, self.exps + 1, block, self.den,
-                             self.val + 1, self.prec + 1, sc)
+                             self.val + 1, self.prec + 1)
 
     # -- substitution u -> u(Tz) ------------------------------------------
     def substitute_Tz(self, out_prec=None):
@@ -481,9 +448,8 @@ class USeries:
                             k[:, None] + np.arange(width)),
                       c[None, :, None] * self.block[:, i] % p)
             out %= p
-        # qe + (q-1)k = e mod (q-1), so classes are preserved
         return USeries._make(ctx, exps, out, self.den, q * self.val,
-                             out_prec, self.support_class)
+                             out_prec)
 
     # -- comparison, rendering, serialization ----------------------------
     def agrees_with(self, other, upto=None):
@@ -580,8 +546,9 @@ def _dense_product(ctx, A, B, rows):
     planes and ``FieldCtx._fold`` reduces them.
     """
     p, r = ctx.p, ctx.r
+    square = B is A  # tested before slicing makes A a new view
     A = A[:, :rows]
-    B = A if B is A else B[:, :rows]
+    B = A if square else B[:, :rows]
     (na, da), (nb, db) = A.shape[1:], B.shape[1:]
     m = min(rows, na + nb - 1)
     width = da + db - 1

@@ -130,6 +130,14 @@ def test_expand_malformed_exits_2(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("depth", [250, 3000])
+def test_expand_deep_nesting_exits_2(capsys, depth):
+    expr = "(" * depth + "E_T" + ")" * depth
+    code, out, err = run(capsys, ["expand", expr, "--prec", "10"])
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
 @pytest.mark.parametrize("prec", ["0", "-5"])
 def test_expand_bad_prec_exit_2(capsys, prec):
     with pytest.raises(SystemExit) as exc:

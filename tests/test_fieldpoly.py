@@ -968,6 +968,14 @@ def test_poly_parse_rejects_non_polynomial():
         poly_parse(F3, "(1)/(T)")
 
 
+def test_parse_rejects_deep_nesting():
+    T = Poly.T(F3)
+    assert poly_parse(F3, "(" * 100 + "T" + ")" * 100) == T
+    for depth in (250, 3000):
+        with pytest.raises(ExprError):
+            poly_parse(F3, "(" * depth + "T" + ")" * depth)
+
+
 def test_parse_accepts_full_grammar():
     T = Poly.T(F3)
     assert poly_parse(F3, "T*T") == T ** 2

@@ -124,8 +124,7 @@ def g1_oracle(ctx, prec):
     if prec < ctx.q:
         raise ValueError("prec must be at least q")
     s = monic_series_sum(ctx, lambda a: Poly.one(ctx), ctx.q - 1, prec)
-    return (USeries.one(ctx, prec, support_class=0)
-            - s * special_modulus(ctx, 1))
+    return USeries.one(ctx, prec) - s * special_modulus(ctx, 1)
 
 
 def assert_same_series(f, g):

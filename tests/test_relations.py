@@ -258,8 +258,8 @@ def _perturbed_phi(monkeypatch, bump, every_row=False):
     replaced by bump(ctx, c), built as phi builds it: one Matrix."""
     real_phi = relations.phi
 
-    def fake_phi(ctx, k, l, N, prec=None):
-        bm = real_phi(ctx, k, l, N, prec)
+    def fake_phi(ctx, k, l, N):
+        bm = real_phi(ctx, k, l, N)
         rows = list(bm.matrix.entries)
         for i in range(len(rows)) if every_row else (-1,):
             rows[i] = bump(ctx, rows[i])

@@ -99,6 +99,8 @@ def assert_canonical_block(s):
     b, e = s.block, s.exps
     assert b.dtype == e.dtype == np.int64
     assert b.ndim == 3 and b.shape[:2] == (s.ctx.r, e.size)
+    classes = set((e % (s.ctx.q - 1)).tolist())
+    assert s.support_class == (classes.pop() if len(classes) == 1 else None)
     assert not b.flags.writeable and not e.flags.writeable
     assert ((0 <= b) & (b < s.ctx.p)).all()
     if s.is_zero():
@@ -204,6 +206,36 @@ def test_product_large_prime_takes_exact_route(monkeypatch):
     f, g = big(-3), big(2)
     assert_same_series(f * g, dict_product(f, g))
     assert calls
+
+
+def test_square_runs_one_forward_transform(monkeypatch):
+    # a square above _DIRECT_MAX transforms its block once, and equals the
+    # product of two equal blocks by the direct route
+    calls = []
+    rfft2 = np.fft.rfft2
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return rfft2(*args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "rfft2", counting)
+    rng = random.Random(5)
+    f = USeries(F3, {e: RatFunc(Poly.from_coeffs(
+        F3, [rng.randrange(3) for _ in range(8)] + [1])) for e in range(40)},
+        40)
+    a = f.block
+    width = 2 * a.shape[2] - 1
+    assert F3.r * 30 * 30 * width * width >= useries._DIRECT_MAX
+    square = useries._dense_product(F3, a, a, 30)
+    assert len(calls) == 1
+    g = -(-f)
+    assert g.block is not f.block
+    assert_same_series(f * f, g * f)
+    assert len(calls) == 1 + 1 + 2
+    monkeypatch.setattr(useries, "_DIRECT_MAX", 1 << 62)
+    direct = useries._dense_product(F3, a, a.copy(), 30)
+    assert np.array_equal(square, direct)
+    assert len(calls) == 4
 
 
 def element_numerators(f, g):
@@ -646,8 +678,7 @@ def laurent_series(draw, ctx, count=1):
 
 def window(s, prec):
     """The canonical series of s cut down to the window below prec."""
-    return USeries._of(s.ctx, {e: n for e, n in s.coeffs.items() if e < prec},
-                       s.den, prec, support_class=s.support_class)
+    return USeries(s.ctx, {e: c for e, c in s.terms() if e < prec}, prec)
 
 
 @pytest.mark.parametrize("ctx", (F3, F5, F9), ids=lambda c: f"q{c.q}")
@@ -710,13 +741,12 @@ def substitute_oracle(self, out_prec=None):
         if e < 0:
             # exact: c * (1 + T u^(q-1))^|e| * u^(qe); the power is a
             # polynomial of degree |e|(q-1) in u, so its window holds it
-            pw = USeries._of(ctx, {0: one, q - 1: T}, one,
-                             -e * (q - 1) + 1) ** -e
+            pw = USeries(ctx, {0: one, q - 1: T}, -e * (q - 1) + 1) ** -e
             terms = {q * e + j: cf * c for j, cf in pw.coeffs.items()
                      if q * e + j < out_prec}
-            parts.append(USeries._of(ctx, terms, one, out_prec))
+            parts.append(USeries(ctx, terms, out_prec))
         elif e == 0:
-            parts.append(USeries._of(ctx, {0: c}, one, out_prec))
+            parts.append(USeries(ctx, {0: c}, out_prec))
         elif q * e < out_prec:
             pos.append((e, c))
     if pos:
@@ -725,7 +755,7 @@ def substitute_oracle(self, out_prec=None):
         base_terms = {0: one}
         if q - 1 < rel0:
             base_terms[q - 1] = T
-        binv = USeries._of(ctx, base_terms, one, rel0).inverse()
+        binv = USeries(ctx, base_terms, rel0).inverse()
         cur_e = e0
         cur = binv ** e0
         deltas = {}
@@ -742,9 +772,8 @@ def substitute_oracle(self, out_prec=None):
     acc = USeries.zero(ctx, out_prec)
     for part in parts:
         acc = acc + part
-    # q = 1 mod (q-1), so classes are preserved
-    return USeries._of(ctx, acc.coeffs, self.den, out_prec, val=acc.val,
-                       support_class=self.support_class)
+    return USeries._make(ctx, acc.exps, acc.block, self.den, acc.val,
+                         out_prec)
 
 
 @st.composite
@@ -815,7 +844,9 @@ def test_theta_is_a_derivation(ctx, data):
     assert_lowest_terms(tf)
     assert tf.prec == f.prec + 1 and tf._eff_val() >= f.val + 1
     if f.support_class is not None:
-        assert tf.support_class == (f.support_class + 1) % (ctx.q - 1)
+        # a series with no term left has no class
+        assert tf.support_class == (
+            None if tf.is_zero() else (f.support_class + 1) % (ctx.q - 1))
     assert all(e % ctx.p for e in (tf.exps - 1).tolist())
     assert (f * g).theta().agrees_with(tf * g + f * g.theta())
     assert (f * a + g * b).theta().agrees_with(tf * a + g.theta() * b)
@@ -858,6 +889,21 @@ def test_support_class_propagation():
     assert a.inverse().support_class == (-1) % (q - 1)
     with pytest.raises(ValueError):
         USeries(F3, {1: one, 2: one}, 8, support_class=1)
+
+
+def test_support_class_is_read_from_the_exponents():
+    one = RatFunc.constant(F5, 1)
+    # no class is given: one class among the exponents is reported
+    assert USeries(F5, {-3: one, 5: one}, 9).support_class == 1
+    assert USeries.monomial(F5, one, 2, 9).support_class == 2
+    # several classes, or no term at all, have none
+    assert USeries(F5, {1: one, 2: one}, 9).support_class is None
+    assert USeries.zero(F5, 9).support_class is None
+    f = USeries(F5, {1: one, 5: one}, 9, support_class=1)
+    assert (f - f).is_zero() and (f - f).support_class is None
+    # a given class is checked against every exponent
+    with pytest.raises(ValueError):
+        USeries(F5, {1: one, 3: one}, 9, support_class=1)
 
 
 def test_integral_flag():
