@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import NotMonic, ZeroInput
 from .fieldpoly import (FqElem, Poly, RatFunc, _as_ratfunc, _batch_product,
-                        _cleared_row, _stacked)
+                        _cleared_row, _spread, _stacked)
 from .useries import USeries
 
 
@@ -115,10 +115,13 @@ def monic_series_sum(ctx, weight, power, prec):
 def _batch_sum(ctx, kept, power, prec):
     """Sum of w * u(az)^power over the pairs (a, w) in ``kept``, monic a in
     ascending degree with power * q^deg(a) < prec, exact below prec.  The a
-    of one degree d form a batch: u(az)^power = u^(power q^d) / S_a, where
-    S_a = (u^(q^d) rho_a(1/u))^power has constant term 1 and a few terms on
-    the step q - 1, and 1 / S_a = sum_m g_m u^((q-1)m) by g_0 = 1, g_m =
-    -sum_k S_k g_(m-k), with deg_T g_m <= m."""
+    of one degree d form a batch: u(az)^power = u^(power q^d) / P_a^power,
+    where P_a = u^(q^d) rho_a(1/u) has constant term 1 and d + 1 terms on
+    the step q - 1.  For S with S_0 = 1 and deg_T S_k <= k on that step,
+    1 / S = sum_m g_m u^((q-1)m) by g_0 = 1, g_m = -sum_k S_k g_(m-k), with
+    deg_T g_m <= m.  When 2 power > q this runs on S = P_a to only
+    ceil(rows / q) of the rows g_m, and 1 / P_a^power is P_a^(q-power)
+    times the exact q-th power of that; otherwise on S = P_a^power."""
     p, q, r = ctx.p, ctx.q, ctx.r
     if not kept:
         return USeries.zero(ctx, prec)
@@ -126,26 +129,32 @@ def _batch_sum(ctx, kept, power, prec):
     grid = -(-(prec - power) // (q - 1))  # exponents power + (q-1)m
     block = np.zeros((r, grid, grid + max(n.arr.shape[1] for n in nums)),
                      dtype=np.int64)
+    split = 2 * power > q
     for d in sorted({int(a.degree) for a, _ in kept}):
         at = [i for i, (a, _) in enumerate(kept) if a.degree == d]
         rows = -(-(prec - power * q ** d) // (q - 1))
         ls = _rho_coeffs(ctx, np.stack([kept[i][0].arr for i in at], 1))
         i = np.arange(d, -1, -1)  # l_i(a) on grid row (q^d - q^i)/(q - 1)
         s = (q ** d - q ** i) // (q - 1), ls[:, :, i]
-        big = s
-        for bit in bin(power)[3:]:
+        big = s  # P_a^(q - power) or P_a^power, unused for power = q
+        for bit in bin(q - power if split else power)[3:]:
             big = _sparse_product(ctx, big, big, rows)
             if bit == "1":
                 big = _sparse_product(ctx, big, s, rows)
-        ks, sk = big[0][1:], big[1][:, :, 1:]  # S_0 = 1 left out
-        g = np.zeros((r, len(at), rows, rows), dtype=np.int64)
-        g[0, :, 0, 0] = 1
-        for m, c in enumerate(np.searchsorted(ks, np.arange(rows),
-                                              side="right").tolist()):
-            if c:  # deg g_(m-k) <= m - k and deg S_k <= k
-                prod = _batch_product(ctx, g[:, :, m - ks[:c], :m - ks[0] + 1],
-                                      sk[:, :, :c, :ks[c - 1] + 1], m + 1)
-                g[:, :, m, :prod.shape[3]] = -prod.sum(axis=2) % p
+        g = _reciprocal(ctx, s if split else big,
+                        -(-rows // q) if split else rows)
+        if split:
+            # (1/P_a)^q: g_m T^j moves to row q m at T^(q j)
+            low = _spread(g, q)
+            g = np.zeros((r, len(at), rows, rows), dtype=np.int64)
+            if power == q:
+                g[:, :, ::q, :low.shape[3]] = low
+            else:
+                for k, c in zip(big[0].tolist(), np.moveaxis(big[1], 2, 0)):
+                    prod = _batch_product(ctx, low[:, :, :len(range(
+                        k, rows, q))], c[:, :, None], rows)
+                    g[:, :, k::q, :prod.shape[3]] += prod
+                g %= p
         g = _batch_product(ctx, g, _stacked([nums[i].arr for i in at])[
             :, :, None]).sum(axis=1) % p
         block[:, power * (q ** d - 1) // (q - 1):, :g.shape[2]] += g
@@ -154,9 +163,26 @@ def _batch_sum(ctx, kept, power, prec):
                          block % p, den, power * q ** d, prec)
 
 
+def _reciprocal(ctx, s, rows):
+    """g_0 .. g_(rows-1) of 1 / S on axis 2 of a (coordinate, batch, row,
+    T) block, for a batch S of series given as (ascending grid rows, block
+    with the rows on axis 2) with S_0 = 1 and deg_T S_k <= k."""
+    ks, sk = s[0][1:], s[1][:, :, 1:]  # S_0 = 1 left out
+    g = np.zeros((ctx.r, sk.shape[1], rows, rows), dtype=np.int64)
+    g[0, :, 0, 0] = 1
+    for m, c in enumerate(np.searchsorted(ks, np.arange(rows),
+                                          side="right").tolist()):
+        if c:  # deg g_(m-k) <= m - k and deg S_k <= k
+            prod = _batch_product(ctx, g[:, :, m - ks[:c], :m - ks[0] + 1],
+                                  sk[:, :, :c, :ks[c - 1] + 1], m + 1)
+            g[:, :, m, :prod.shape[3]] = -prod.sum(axis=2) % ctx.p
+    return g
+
+
 def monic_power_sum(ctx, power, prec):
     """Sum of u(az)^power over all monic a, exact below prec, for
-    1 <= power <= q, with one series inverse per degree.
+    1 <= power <= q, with one series inverse per degree, run to a q-th
+    of the precision.
 
     Over monic a of degree d, u(az) sums to t_d = c_d / e_d(R_d), where
     R_j = rho_(T^j)(1/u) and e_d(X) = c_d X + ... is the product of X - l
@@ -168,7 +194,11 @@ def monic_power_sum(ctx, power, prec):
       V_(i+1)[j] = V_i[j]^q - u^((q-1)(q^(i+j) - q^(2i))) V_i[i]^(q-1) V_i[j]
       t_d = (-1)^d u^v(d) prod_(i<d) V_i[i]^(q-1) / V_d[d]
 
-    with v(d) = q^(2d) - (q^(2d) - 1)/(q + 1) the valuation of t_d.
+    with v(d) = q^(2d) - (q^(2d) - 1)/(q + 1) the valuation of t_d.  X =
+    V_d[d] enters as X^-power = X^(q-power) (1/X)^q: the inverse runs to
+    ceil(P / q) of the relative precision P of X, and its q-th power,
+    which only spreads exponents and powers of T by q, is
+    exact to q ceil(P / q) >= P.
     """
     q = ctx.q
     if not 1 <= power <= q or prec < 1:
@@ -198,7 +228,11 @@ def monic_power_sum(ctx, power, prec):
             low = v[j] if d == 1 else w * v[j]
             v[j] = v[j] ** q - low.shift(
                 (q - 1) * (q ** (d - 1 + j) - q ** (2 * d - 2)))
-        t = (v[d].inverse() if lead is None
-             else lead * v[d].inverse()) ** power
+        # 1/X to ceil(P / q), whose q-th power is exact to P
+        x = v[d]
+        t = x.truncate(-(-x.prec // q)).inverse()._qth_power()
+        t = x ** (q - power) * t
+        if lead is not None:
+            t = lead ** power * t
         total = total + (-t if d * power % 2 else t).shift(power * val(d))
     return total

@@ -11,6 +11,7 @@ objects are immutable after construction.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import re
 
@@ -310,8 +311,11 @@ class FieldCtx:
         return f"FieldCtx(p={self.p}, r={self.r})"
 
 
+@functools.lru_cache(maxsize=4)
 def make_field(p, r):
-    """Construct GF(p^r) with the smallest monic irreducible modulus."""
+    """GF(p^r) with the smallest monic irreducible modulus, built once per
+    (p, r) of the last few asked for: a context never changes after its
+    construction.  Bad input raises on every call."""
     return FieldCtx(p, r)
 
 
@@ -443,13 +447,18 @@ def _times_coords(ctx, c, arr):
 def _frobenius_array(ctx, arr):
     """The p-th power of every polynomial in a coefficient array of any
     shape, coordinate axis first and T last: c(T)^p = sum a_i^p T^(ip)."""
-    p, r = ctx.p, ctx.r
-    if r > 1:
-        arr = np.tensordot(ctx._frob, arr, axes=1) % p
+    if ctx.r > 1:
+        arr = np.tensordot(ctx._frob, arr, axes=1) % ctx.p
+    return _spread(arr, ctx.p)
+
+
+def _spread(arr, k):
+    """Every polynomial in a coefficient array, T last, at T^k: c(T^k);
+    for k = q this is the q-th power, as a^q = a on F_q."""
     n = arr.shape[-1]
-    out = np.zeros(arr.shape[:-1] + (p * (n - 1) + 1 if n else 0,),
+    out = np.zeros(arr.shape[:-1] + (k * (n - 1) + 1 if n else 0,),
                    dtype=np.int64)
-    out[..., ::p] = arr
+    out[..., ::k] = arr
     return out
 
 

@@ -76,7 +76,9 @@ def build_ET(ctx, prec):
 def build_g1(ctx, prec):
     """Weight q-1 Eisenstein series normalized to constant term 1, as
     1 - (T^q - T) * sum over d of t_d^(q-1): t_d sums u(az) over monic a
-    of degree d, from the Carlitz lattice by ``monic_power_sum``."""
+    of degree d, from the Carlitz lattice by ``monic_power_sum``, where
+    each t_d^(q-1) takes X^-(q-1) = X (1/X)^q with the inverse of X run to
+    ceil(P / q) of its relative precision P."""
     if prec < ctx.q:
         raise ValueError("prec must be at least q")
     s = monic_power_sum(ctx, ctx.q - 1, prec)

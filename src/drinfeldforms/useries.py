@@ -52,7 +52,7 @@ from .errors import MixedField, PrecisionExceeded, ZeroSeries
 from .fieldpoly import (FqElem, Matrix, Poly, RatFunc, _as_ratfunc,
                         _cleared_row, _convolve_mod, _frobenius_array,
                         _lowest_terms, _padded, _poly_product, _power,
-                        _stacked, _times_coords, _trimmed)
+                        _spread, _stacked, _times_coords, _trimmed)
 
 
 def _times(a, b):
@@ -397,6 +397,17 @@ class USeries:
                              _frobenius_array(ctx, self.block),
                              self.den._frobenius(), p * v,
                              p * v + self.prec - v, sums=False)
+
+    def _qth_power(self):
+        """The q-th power on the window [q val, q prec): in characteristic
+        p, (f + O(u^prec))^q = f^q + O(u^(q prec)), and a^q = a on F_q, so
+        a T^j u^e goes to a T^(qj) u^(qe).  ``_frobenius`` keeps the
+        narrower window of repeated products, which ``__pow__`` gives."""
+        q = self.ctx.q
+        return USeries._make(self.ctx, q * self.exps,
+                             _spread(self.block, q),
+                             Poly(self.ctx, _spread(self.den.arr, q)),
+                             q * self.val, q * self.prec, sums=False)
 
     def theta(self):
         """Theta = -u^2 d/du, exact in characteristic p: sum c_e u^e maps to

@@ -21,6 +21,8 @@ F3 = make_field(3, 1)
 F5 = make_field(5, 1)
 F7 = make_field(7, 1)
 F9 = make_field(3, 2)
+F25 = make_field(5, 2)
+F27 = make_field(3, 3)
 
 
 def rand_poly(ctx, rng, maxdeg):
@@ -349,19 +351,36 @@ WEIGHTS = {
 }
 
 # the per-monic oracle gets costly beyond these precisions; each cap
-# still straddles the degree 2 cutoffs of every power below
-SUM_CAP = {3: 85, 5: 101, 7: 99, 9: 82}
+# but those of q = 25 and 27 still straddles the degree 2 cutoffs of every
+# power below
+SUM_CAP = {3: 85, 5: 101, 7: 99, 9: 82, 25: 60, 27: 60}
+
+
+def split_steps(q, power, lows, cap):
+    """For 2 power > q, the precisions where a degree with lowest
+    precision low in ``lows`` gets rows = ceil((prec - low) / (q - 1))
+    that are 0 or 1 mod q, the first three times each: there the
+    recurrence that runs to ceil(rows / q) is tight or steps."""
+    if 2 * power <= q:
+        return set()
+    return {low + (q - 1) * (n - 1) + 1 for low in lows
+            for n in (1, q, q + 1, 2 * q, 2 * q + 1, 3 * q, 3 * q + 1)
+            if low + (q - 1) * (n - 1) + 1 <= cap}
 
 
 def sum_cutoffs(q, power):
     """Every precision where a degree enters or leaves, power * q^d - 1,
-    power * q^d and power * q^d + 1, and the empty sums, prec <= power."""
+    power * q^d and power * q^d + 1, the empty sums, prec <= power, and
+    the steps of the split recurrence."""
     marks = {power * q ** d + s for d in range(6) for s in (-1, 0, 1)}
+    marks |= split_steps(q, power, [power * q ** d for d in range(6)],
+                         SUM_CAP[q])
     return sorted(m for m in marks | set(range(1, power + 1))
                   if 1 <= m <= SUM_CAP[q])
 
 
-@pytest.mark.parametrize("ctx", (F3, F5, F7, F9), ids=lambda c: f"q{c.q}")
+@pytest.mark.parametrize("ctx", (F3, F5, F7, F9, F25, F27),
+                         ids=lambda c: f"q{c.q}")
 @pytest.mark.parametrize("weight", sorted(WEIGHTS))
 def test_batched_sum_matches_per_monic_oracle(ctx, weight):
     q = ctx.q
@@ -370,6 +389,69 @@ def test_batched_sum_matches_per_monic_oracle(ctx, weight):
         for prec in sum_cutoffs(q, power):
             assert_same_series(monic_series_sum(ctx, w, power, prec),
                                monic_series_sum_oracle(ctx, w, power, prec))
+
+
+def test_split_recurrence_runs_on_a_qth_of_the_rows(monkeypatch):
+    # for 2 * power > q the recurrence inverts P_a, of d + 1 terms, to
+    # ceil(rows / q) rows, and for 2 * power <= q it runs to every row;
+    # the lattice inverts each V_d[d] to ceil(prec / q) of its relative
+    # precision prec at every power
+    steps, inverted = [], []
+    reciprocal, inverse = carlitz._reciprocal, USeries.inverse
+
+    def counting(ctx, s, rows):
+        steps.append((len(s[0]), rows))
+        return reciprocal(ctx, s, rows)
+
+    def counting_inverse(self):
+        inverted.append(self.prec)
+        return inverse(self)
+
+    monkeypatch.setattr(carlitz, "_reciprocal", counting)
+    monkeypatch.setattr(USeries, "inverse", counting_inverse)
+    for ctx, power, prec in ((F3, 1, 40), (F3, 2, 40), (F3, 3, 40),
+                             (F5, 2, 70), (F5, 4, 70), (F5, 5, 70)):
+        q = ctx.q
+        split = 2 * power > q
+        steps.clear()
+        monic_series_sum(ctx, lambda a: 1, power, prec)
+        rows = [-(-(prec - power * q ** d) // (q - 1))
+                for d in range(4) if power * q ** d < prec]
+        assert [n for _, n in steps] == [
+            -(-n // q) if split else n for n in rows]
+        if split:
+            assert [t for t, _ in steps] == list(range(1, len(rows) + 1))
+        inverted.clear()
+        monic_power_sum(ctx, power, 3 * prec)
+        rel = [3 * prec - power * lattice_val(q, d) for d in range(1, 4)
+               if power * lattice_val(q, d) < 3 * prec]
+        assert rel and inverted == [-(-n // q) for n in rel]
+
+
+@pytest.mark.parametrize("ctx", (F9, F25, F27), ids=lambda c: f"q{c.q}")
+def test_split_over_extension_fields_matches_per_monic_oracle(
+        ctx, monkeypatch):
+    # degree 0 gets rows = 3q + 1 and degree 1, where P_a = 1 + (T + c)
+    # u^(q-1), rows = 3q + 1 - power, so the recurrence runs to 4 and 3
+    # rows; summed over every c in F_q, terms of degree below q - 1 in c
+    # cancel, so the weight is the indicator of c != 0, 1 - c^(q-1)
+    q = ctx.q
+    steps = []
+    reciprocal = carlitz._reciprocal
+
+    def counting(ctx, s, rows):
+        steps.append(rows)
+        return reciprocal(ctx, s, rows)
+
+    monkeypatch.setattr(carlitz, "_reciprocal", counting)
+    weight = WEIGHTS["T-free"](ctx)
+    for power in ((q + 1) // 2, q - 1, q):
+        prec = power + (q - 1) * 3 * q + 1
+        steps.clear()
+        assert_same_series(
+            monic_series_sum(ctx, weight, power, prec),
+            monic_series_sum_oracle(ctx, weight, power, prec))
+        assert steps[:2] == [4, 3]
 
 
 def test_batched_sum_that_cancels_keeps_its_window():
@@ -404,26 +486,54 @@ def compare_power_sums(ctx, k, prec):
 
 
 # the per-monic route gets costly beyond these precisions
-CAP = {3: 170, 5: 510, 9: 600}
+CAP = {3: 170, 5: 510, 9: 600, 25: 80, 27: 80}
 
 
 def cutoffs(q, k):
     """Precisions one below, at and one above each degree cutoff of both
     routes: k * v(d) for the lattice, k * q^d and (q - 1) * q^d per
-    monic."""
+    monic; and the steps of the split recurrence of both, where the
+    relative precision prec - k * v(d) of a lattice inverse is 0 or 1
+    mod q."""
     marks = set()
     for d in range(6):
         marks |= {k * lattice_val(q, d), k * q ** d, (q - 1) * q ** d}
-    return sorted(m + s for m in marks for s in (-1, 0, 1)
-                  if 1 <= m + s <= CAP[q])
+    marks = {m + s for m in marks for s in (-1, 0, 1)}
+    marks |= {k * lattice_val(q, d) + j * q + s for d in range(1, 6)
+              for j in (1, 2, 3) for s in (0, 1)}
+    marks |= split_steps(q, k, [k * q ** d for d in range(6)], CAP[q])
+    return sorted(m for m in marks if 1 <= m <= CAP[q])
 
 
-@pytest.mark.parametrize("ctx", (F3, F5, F9), ids=lambda c: f"q{c.q}")
-@pytest.mark.parametrize("which", ("one", "q-1"))
+@pytest.mark.parametrize("ctx", (F3, F5, F9, F25, F27),
+                         ids=lambda c: f"q{c.q}")
+@pytest.mark.parametrize("which", ("one", "q-1", "q"))
 def test_power_sum_straddles_every_cutoff(ctx, which):
-    k = 1 if which == "one" else ctx.q - 1
+    k = {"one": 1, "q-1": ctx.q - 1, "q": ctx.q}[which]
     for prec in cutoffs(ctx.q, k):
         compare_power_sums(ctx, k, prec)
+
+
+def test_lattice_split_over_F9_matches_per_monic_oracle(monkeypatch):
+    # V_1[1] = 1 - u^((q-1)^2) + (T^q - T) u^(q(q-1)) gets the relative
+    # precision q^2 (q - 1) + 1, so its inverse runs to q(q - 1) + 1 = 73
+    # terms, 1 + u^64 - (T^9 - T) u^72, which the q-th power spreads to
+    # 1 + u^576 - (T^81 - T^9) u^648
+    inverted = []
+    inverse = USeries.inverse
+
+    def counting_inverse(self):
+        inverted.append(self.prec)
+        return inverse(self)
+
+    monkeypatch.setattr(USeries, "inverse", counting_inverse)
+    for power in (1, 8):
+        prec = power * lattice_val(9, 1) + 9 * 72 + 1
+        inverted.clear()
+        lattice = monic_power_sum(F9, power, prec)
+        assert inverted == [73]
+        assert_same_series(lattice, monic_series_sum_oracle(
+            F9, lambda a: 1, power, prec))
 
 
 @pytest.mark.parametrize("ctx", (F3, F5, F9), ids=lambda c: f"q{c.q}")

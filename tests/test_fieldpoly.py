@@ -148,6 +148,32 @@ def test_make_field_rejects_bad_input():
         make_field(3, 0)
 
 
+def test_make_field_returns_one_context_per_field():
+    # F9 and F5 may have left the cache since import: compare by key
+    ctx = make_field(3, 2)
+    assert make_field(3, 2) is ctx and ctx.key == F9.key
+    assert make_field(5, 1) is make_field(5, 1)
+    assert make_field(5, 2) is not make_field(5, 1)
+
+
+def test_make_field_raises_on_every_bad_call(monkeypatch):
+    # a failed construction is not cached: the check runs each time
+    built = []
+    ctx_init = fieldpoly.FieldCtx.__init__
+
+    def counting(self, p, r):
+        built.append((p, r))
+        ctx_init(self, p, r)
+
+    monkeypatch.setattr(fieldpoly.FieldCtx, "__init__", counting)
+    for _ in range(3):
+        with pytest.raises(NotOddPrime):
+            make_field(9, 2)
+        with pytest.raises(BadDegree):
+            make_field(7, 0)
+    assert built == [(9, 2), (7, 0)] * 3
+
+
 def test_make_field_too_large_fails_before_modulus_search(monkeypatch):
     def no_search(p, r):
         raise AssertionError("modulus search ran before the size check")
@@ -613,7 +639,7 @@ def test_ratfunc_pow_matches_repeated_mul(ctx):
 
 def test_constants_are_shared_per_field():
     for ctx in FIELDS:
-        again = make_field(ctx.p, ctx.r)  # an equal field, another object
+        again = fieldpoly.FieldCtx(ctx.p, ctx.r)  # equal, another object
         assert Poly.one(again) is Poly.one(ctx) is Poly.constant(ctx, 1)
         assert Poly.zero(again) is Poly.zero(ctx) is Poly.constant(ctx, 0)
         assert RatFunc.constant(ctx, 0) is RatFunc.constant(again, ctx.p)

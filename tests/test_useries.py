@@ -583,6 +583,31 @@ def test_pow_frobenius_keeps_support_class():
     assert (f ** 5).support_class == 1
 
 
+@pytest.mark.parametrize("ctx", (F3, F9, make_field(5, 2), make_field(3, 3)),
+                         ids=lambda c: f"q{c.q}")
+def test_qth_power_is_exact_to_q_times_prec(ctx):
+    # H agrees with h below prec, so H^q agrees with h^q below q * prec;
+    # H is long enough that H^q, by p-th powers, reaches that far
+    q = ctx.q
+    rng = random.Random(7 + ctx.q)
+    over = RatFunc(Poly.one(ctx), Poly.T(ctx) + 1)
+    for val, prec in ((-2, 3), (0, 5), (1, 4)):
+        big = rand_series(ctx, rng, val=val, prec=q * prec - (q - 1) * val)
+        big = big + USeries.monomial(ctx, 1, val, big.prec)
+        for h in (big, big * over):
+            full = h ** q
+            assert full.prec == q * prec
+            low = h.truncate(prec)
+            f = low._qth_power()
+            assert (f.val, f.prec) == (q * low.val, q * prec)
+            assert f == full
+            assert f.agrees_with(low ** q)
+            with pytest.raises(PrecisionExceeded):
+                f.coeff(q * prec)
+    zero = USeries.zero(ctx, 4)._qth_power()
+    assert zero.is_zero() and zero.prec == 4 * q
+
+
 def test_pow_matches_repeated_mul():
     rng = random.Random(23)
     f = rand_series(F3, rng, val=0, prec=8)

@@ -5,6 +5,7 @@
 Generator builds, for q in {3, 5, 9} and P in {80, 160, 320, 640}, each
 from an empty form cache:
 
+* ``g1``: ``build_g1``, from the power q - 1 sum of the Carlitz lattice;
 * ``E_monic_sum``: E as the sum of a * u(az) over every monic a, the
   route that the tests keep as an oracle;
 * ``E_theta``: ``build_E``, E = Theta(Delta_T) / Delta_T, including the
@@ -66,6 +67,7 @@ RELATION_L, RELATION_N = 1, 3
 RUNS = 3
 
 ROUTES = {
+    "g1": forms.build_g1,
     "E_monic_sum": lambda ctx, prec: monic_series_sum(ctx, lambda a: a, 1,
                                                       prec),
     "E_theta": forms.build_E,
