@@ -265,12 +265,17 @@ def build_parser():
 
 
 _PARSER = None  # built on the first call, then reused by every later one
+_TAKES_PREC = ("expand", "congruence", "residue")
 
 
 def main(argv=None):
     global _PARSER
     _PARSER = _PARSER or build_parser()
     args = _PARSER.parse_args(argv)
+    if args.prec is not None and args.command not in _TAKES_PREC:
+        print(f"error: --prec is not an option of {args.command}",
+              file=sys.stderr)
+        return 2
     try:
         ctx = make_field(args.p, args.r)
         return args.func(ctx, args)

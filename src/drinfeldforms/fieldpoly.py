@@ -344,9 +344,6 @@ class FqElem:
     def is_one(self):
         return self.code == 1
 
-    def in_prime_field(self):
-        return self.code < self.ctx.p
-
     def _coerce(self, other):
         if isinstance(other, FqElem):
             _same_ctx(self, other)
@@ -1114,12 +1111,12 @@ def ratfunc_parse(ctx, text):
 def _cleared_row(ctx, row):
     """A row of fractions over the lcm of its denominators: the numerators
     times the lcm, as polynomials, and the lcm."""
-    dens = []
+    distinct = []
     for x in row:
-        if not x.den.is_one() and x.den not in dens:
-            dens.append(x.den)
-    lcm = dens[0] if dens else Poly.one(ctx)
-    for d in dens[1:]:
+        if not x.den.is_one() and x.den not in distinct:
+            distinct.append(x.den)
+    lcm = distinct[0] if distinct else Poly.one(ctx)
+    for d in distinct[1:]:
         lcm = lcm * (d // lcm.gcd(d))
     return [x.num if x.is_zero() or x.den == lcm
             else x.num * lcm if x.den.is_one()
@@ -1220,8 +1217,9 @@ def _degrees(arr):
 
 def _lowest_fractions(ctx, rem, den):
     """Lowest terms of a batch of proper fractions rem_k / den_k, given as
-    arrays (r, K, w) with each rem_k nonzero and of lower degree than the
-    monic den_k; returns the reduced numerators and monic denominators.
+    arrays (r, K, w), den also as (r, 1, w) for one den_k of all, with
+    each rem_k nonzero and of lower degree than the monic den_k; returns
+    the reduced numerators and monic denominators.
 
     One extended Euclidean algorithm runs on all pairs at once, one
     leading term per step and without division: of the two rows
@@ -1263,59 +1261,46 @@ def _lowest_fractions(ctx, rem, den):
     return _times_coords(ctx, -inv % p, s), _times_coords(ctx, inv, t)
 
 
-def _lowest_entries(ctx, block, dens):
-    """The entries of the rows block[:, i] / dens[i] in lowest terms: a
-    numerator block and a block of monic denominators, both coordinate x
-    row x column x power of T, and the mask, row x column, of the entries
-    whose denominator is not 1.  One long division per distinct
-    denominator gives the integral entries as quotients; the others,
-    quotient plus a proper fraction, have their fractions reduced together
-    by ``_lowest_fractions``."""
-    r, rows, cols, width = block.shape
-    one, groups = Poly.one(ctx), {}
-    for i, d in enumerate(dens):
-        if d is not one and not d.is_one():
-            groups.setdefault(d, []).append(i)
-    nums = np.array(block) if groups else block
-    at, quots, rems, ds = [], [], [], []  # the entries with a remainder
-    for d, idx in groups.items():
-        quot, rem = _rows_divmod(ctx, block[:, idx], d.arr)
-        nums[:, idx] = _padded(quot, width)
-        for n, j in zip(*np.nonzero(rem.any(axis=(0, 3)))):
-            at.append((idx[n], j))
-            quots.append(quot[:, n, j])
-            rems.append(rem[:, n, j])
-            ds.append(d.arr)
-    frac = np.zeros((rows, cols), dtype=bool)
-    den = np.zeros((r, rows, cols, 1), dtype=np.int64)
-    den[0, ..., 0] = 1
-    if at:
-        num, lowest = _lowest_fractions(ctx, _stacked(rems), _stacked(ds))
-        prod = _batch_product(ctx, _stacked(quots), lowest)
+def _lowest_entries(ctx, block, den):
+    """The entries of block / den in lowest terms: a numerator block and a
+    block of monic denominators, both coordinate x row x column x power of
+    T, and the mask, row x column, of the entries whose denominator is not
+    1.  One long division by den gives the integral entries as quotients;
+    the others, quotient plus a proper fraction, have their fractions
+    reduced together by ``_lowest_fractions``."""
+    r, rows, cols, _ = block.shape
+    denoms = np.zeros((r, rows, cols, 1), dtype=np.int64)
+    denoms[0, ..., 0] = 1
+    if den.is_one():
+        return block, denoms, np.zeros((rows, cols), dtype=bool)
+    nums, rem = _rows_divmod(ctx, block, den.arr)
+    frac = rem.any(axis=(0, 3))
+    if frac.any():
+        rem, quot = rem[:, frac], nums[:, frac]
+        num, lowest = _lowest_fractions(ctx, rem, den.arr[:, None])
+        prod = _batch_product(ctx, quot, lowest)
         num = (_padded(num, prod.shape[-1]) + prod) % ctx.p
-        i, j = np.array(at).T
-        frac[i, j] = True
-        nums = _padded(nums, max(width, num.shape[-1]))
-        nums[:, i, j] = _padded(num, nums.shape[-1])
-        den = _padded(den, lowest.shape[-1])
-        den[:, i, j] = lowest
-    return nums, den, frac
+        nums = _padded(nums, max(nums.shape[-1], num.shape[-1]))
+        nums[:, frac] = _padded(num, nums.shape[-1])
+        denoms = _padded(denoms, lowest.shape[-1])
+        denoms[:, frac] = lowest
+    return nums, denoms, frac
 
 
 class Matrix:
-    """Immutable dense matrix over F_q(T), held as one block of
-    polynomial numerators over one monic denominator per row.
+    """Immutable dense matrix over F_q(T), held like a series: one block of
+    polynomial numerators over one monic denominator.
 
     ``block`` is a read-only int64 array, coordinate x row x column x
     power of T, with entries in [0, p) and a nonzero last T-column, and
-    row i of the matrix is block[:, i] / dens[i].  A row need not be in
-    lowest terms: equality compares the cross products
-    block[:, i] * dens'[i] and block'[:, i] * dens[i].  The entries in
-    lowest terms are computed on first read, once for ``entries``, every
-    entry as a RatFunc, and ``rendered``, every entry as a string.
+    the matrix is block / den.  It need not be in lowest terms: equality
+    compares the cross products block * den' and block' * den.  The
+    entries in lowest terms are computed on first read, once for
+    ``entries``, every entry as a RatFunc, and ``rendered``, every entry
+    as a string.
     """
 
-    __slots__ = ("ctx", "rows", "cols", "block", "dens", "_lowest",
+    __slots__ = ("ctx", "rows", "cols", "block", "den", "_lowest",
                  "_entries")
 
     def __init__(self, ctx, entries):
@@ -1323,35 +1308,33 @@ class Matrix:
         cols = len(entries[0]) if entries else 0
         if any(len(row) != cols for row in entries):
             raise ValueError("ragged rows")
-        cleared = [_cleared_row(ctx, row) for row in entries]
+        nums, den = _cleared_row(ctx, [x for row in entries for x in row])
         block = np.zeros((ctx.r, len(entries), cols, max(
-            [n.arr.shape[1] for nums, _ in cleared for n in nums],
-            default=0)), dtype=np.int64)
-        for i, (nums, _) in enumerate(cleared):
-            for j, n in enumerate(nums):
-                block[:, i, j, :n.arr.shape[1]] = n.arr
-        self._set(ctx, block, [den for _, den in cleared])
+            [n.arr.shape[1] for n in nums], default=0)), dtype=np.int64)
+        for at, n in enumerate(nums):
+            block[:, at // cols, at % cols, :n.arr.shape[1]] = n.arr
+        self._set(ctx, block, den)
 
     @classmethod
-    def _of(cls, ctx, block, dens):
-        """The matrix with rows block[:, i] / dens[i], for a block with
-        entries in [0, p) and monic denominators."""
+    def _of(cls, ctx, block, den):
+        """The matrix block / den, for a block with entries in [0, p) and
+        a monic denominator."""
         self = object.__new__(cls)
-        self._set(ctx, block, dens)
+        self._set(ctx, block, den)
         return self
 
-    def _set(self, ctx, block, dens):
+    def _set(self, ctx, block, den):
         block = _trimmed(block)
         block.setflags(write=False)
         self.ctx = ctx
         _, self.rows, self.cols, _ = block.shape
         self.block = block
-        self.dens = tuple(dens)
+        self.den = den
         self._lowest = self._entries = None
 
     def _lowest_terms(self):
         if self._lowest is None:
-            self._lowest = _lowest_entries(self.ctx, self.block, self.dens)
+            self._lowest = _lowest_entries(self.ctx, self.block, self.den)
         return self._lowest
 
     @property
@@ -1368,9 +1351,6 @@ class Matrix:
                 for i, (fr, nzr) in enumerate(zip(frac.tolist(), nonzero)))
         return self._entries
 
-    def row(self, i):
-        return self.entries[i]
-
     def rendered(self):
         """The entries as strings, row by row, as ``str`` renders their
         RatFunc, from the blocks of numerators and denominators."""
@@ -1379,38 +1359,31 @@ class Matrix:
         strings = _rendered_rows(self.ctx,
                                  nums.reshape(r, rows * cols, width))
         if frac.any():
-            dens = iter(_rendered_rows(self.ctx, den[:, frac]))
-            strings = [f"({s})/({next(dens)})" if f else s
+            denoms = iter(_rendered_rows(self.ctx, den[:, frac]))
+            strings = [f"({s})/({next(denoms)})" if f else s
                        for s, f in zip(strings, frac.ravel().tolist())]
         return [strings[i * cols:(i + 1) * cols] for i in range(rows)]
-
-    def _den_block(self):
-        # the row denominators as a block, one column
-        return np.stack([_padded(d.arr, max(e.arr.shape[1] for e in self.dens))
-                         for d in self.dens], axis=1)[:, :, None]
 
     def rref(self):
         """Reduced row echelon form with unit pivots; returns the echelon
         matrix and the tuple of pivot columns.
 
-        Scaling a row by its denominator leaves the reduced form
-        unchanged, so the elimination runs fraction-free on ``block``
+        Scaling by the denominator leaves the reduced form unchanged, so
+        the elimination runs fraction-free on ``block``
         (``_fraction_free``).  Every pivot row then holds the last pivot
-        d in its pivot column, so the echelon form is those rows over d,
-        made monic; its entries are reduced when read.  A matrix has
-        exactly one reduced row echelon form, so the result equals
-        elimination over F_q(T).
+        d in its pivot column, so the echelon form is the eliminated block
+        over d, both made monic; its entries are reduced when read.  A
+        matrix has exactly one reduced row echelon form, so the result
+        equals elimination over F_q(T).
         """
         ctx = self.ctx
         work, pivots = _fraction_free(ctx, self.block)
-        dens = [Poly.one(ctx)] * self.rows
-        if pivots:
-            d = _trimmed(work[:, 0, pivots[0]])
-            inv = ctx.element(d[:, -1].tolist()).inverse().coords
-            work = _times_coords(ctx, inv, work)  # the other rows are zero
-            dens[:len(pivots)] = ([Poly(ctx, _times_coords(ctx, inv, d))]
-                                  * len(pivots))
-        return Matrix._of(ctx, work, dens), pivots
+        if not pivots:
+            return Matrix._of(ctx, work, Poly.one(ctx)), pivots
+        d = _trimmed(work[:, 0, pivots[0]])
+        inv = ctx.element(d[:, -1].tolist()).inverse().coords
+        return Matrix._of(ctx, _times_coords(ctx, inv, work),
+                          Poly(ctx, _times_coords(ctx, inv, d))), pivots
 
     def rank(self):
         return len(self.rref()[1])
@@ -1419,11 +1392,9 @@ class Matrix:
         if not (isinstance(other, Matrix) and self.ctx.key == other.ctx.key
                 and self.rows == other.rows and self.cols == other.cols):
             return False
-        if not self.rows:
-            return True
-        return np.array_equal(
-            _trimmed(_batch_product(self.ctx, self.block, other._den_block())),
-            _trimmed(_batch_product(self.ctx, other.block, self._den_block())))
+        return np.array_equal(*(_trimmed(_batch_product(
+            self.ctx, a.block, b.den.arr[:, None, None]))
+            for a, b in ((self, other), (other, self))))
 
     def __hash__(self):
         return hash((self.ctx.key, self.entries))
@@ -1435,21 +1406,18 @@ class Matrix:
 
 
 def left_kernel(mat):
-    """Canonical echelon basis of the left kernel {v : v M = 0}.
+    """Canonical echelon basis of the left kernel {v : v M = 0}, as a
+    matrix in reduced row echelon form with every leading entry 1, so the
+    output is deterministic; it has no rows when the kernel is trivial.
 
-    The returned rows are in reduced row echelon form, each leading entry
-    equal to 1, so the output is deterministic.  An empty list means the
-    kernel is trivial.  With n_i the numerators of row i and d_i its
-    denominator, v M = 0 exactly when w = (v_i / d_i) has w N = 0: the
-    fraction-free elimination of the transposed numerator block gives
-    that kernel over F_q[T], with w_j = d, the last pivot, at each free
-    row index j, before the basis is scaled back by the d_i and reduced.
+    With M = N / D, v M = 0 exactly when v N = 0: the fraction-free
+    elimination of the transposed numerator block gives that kernel over
+    F_q[T], with v_j = d, the last pivot, at each free row index j, and
+    its reduced echelon form is the basis.
     """
     ctx = mat.ctx
     work, pivots = _fraction_free(ctx, mat.block.swapaxes(1, 2))
     free = [j for j in range(mat.rows) if j not in pivots]
-    if not free:
-        return []
     d = _trimmed(work[:, 0, pivots[0]]) if pivots else Poly.one(ctx).arr
     basis = np.zeros((ctx.r, len(free), mat.rows,
                       max(d.shape[-1], work.shape[-1])), dtype=np.int64)
@@ -1457,6 +1425,4 @@ def left_kernel(mat):
         basis[:, f, j, :d.shape[-1]] = d
         for idx, pc in enumerate(pivots):
             basis[:, f, pc, :work.shape[-1]] = -work[:, idx, j] % ctx.p
-    basis = _batch_product(ctx, basis, mat._den_block()[:, :, 0][:, None])
-    echelon, _ = Matrix._of(ctx, basis, [Poly.one(ctx)] * len(free)).rref()
-    return [list(echelon.row(i)) for i in range(len(free))]
+    return Matrix._of(ctx, basis, Poly.one(ctx)).rref()[0]

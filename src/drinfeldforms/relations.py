@@ -15,10 +15,13 @@ its left kernel has dimension N + 1, and the two spans agree exactly
 when every phi row annihilates M and the phi rank is N + 1: the
 strongest single check this package performs.
 
-The report works on matrix blocks (see ``fieldpoly.Matrix``): the phi
-rows and the dual matrix are read from the numerator blocks of their
-series, the unitriangular check and the annihilation check are products
-of polynomial blocks, and the printed rows are rendered from blocks.
+The report works on matrix blocks.  A ``fieldpoly.Matrix`` is stored
+like a series, one numerator block over one denominator: the phi rows and
+the dual matrix are read from the numerator blocks of their series, over
+the lcm of the series' denominators; the unitriangular check is one long
+division of the top rows by that denominator, the annihilation check one
+product of the two numerator blocks, and both the phi rows and the
+kernel are rendered from blocks by ``Matrix.rendered``.
 """
 
 from __future__ import annotations
@@ -29,8 +32,7 @@ import numpy as np
 
 from .errors import EmptySpace, NotUnitriangular, PrecisionExceeded
 from .fieldpoly import (Matrix, Poly, RatFunc, _batch_product, _cleared_row,
-                        _lowest_terms, _padded, _stacked, _trimmed,
-                        left_kernel)
+                        _padded, _rows_divmod, left_kernel)
 from .forms import (
     FormExpr,
     FormSpec,
@@ -104,39 +106,33 @@ def phi(ctx, k, l, N):
 
 def _coefficients(ctx, series, exps):
     """The coefficients of each series at the exponents ``exps``, read from
-    its numerator block: one matrix row per series, over the series'
-    denominator."""
+    its numerator block: one matrix row per series, over the lcm of the
+    series' denominators."""
+    one = Poly.one(ctx)
+    scales, den = _cleared_row(ctx, [RatFunc._reduced(one, f.den)
+                                     for f in series])
     top = int(exps.max())
-    block = np.zeros((ctx.r, len(series), exps.size,
-                      max(f.block.shape[2] for f in series)), dtype=np.int64)
-    for j, f in enumerate(series):
+    block = np.zeros((ctx.r, len(series), exps.size, max(
+        f.block.shape[2] + s.degree for f, s in zip(series, scales))),
+        dtype=np.int64)
+    for j, (f, s) in enumerate(zip(series, scales)):
         if top >= f.prec:
             raise PrecisionExceeded(
                 f"coefficient of u^{top} requested, precision is {f.prec}")
         at = np.searchsorted(f.exps, exps)
         hit = at < f.exps.size
         hit[hit] = f.exps[at[hit]] == exps[hit]
-        block[:, j, hit, :f.block.shape[2]] = f.block[:, at[hit]]
-    return Matrix._of(ctx, block, [f.den for f in series])
-
-
-def _over_common_den(ctx, block, dens):
-    """The rows block[:, i] / dens[i] of a matrix over the lcm D of the
-    denominators: the numerator block times D / dens[i] row by row, and
-    D."""
-    one = Poly.one(ctx)
-    scales, lcm = _cleared_row(ctx, [RatFunc._reduced(one, d) for d in dens])
-    if lcm.is_one():
-        return block, lcm
-    scales = _stacked([x.arr for x in scales])
-    return _trimmed(_batch_product(ctx, block, scales[:, :, None])), lcm
+        read = f.block[:, at[hit]]
+        if not s.is_one():
+            read = _batch_product(ctx, read, s.arr[:, None])
+        block[:, j, hit, :read.shape[2]] = read
+    return Matrix._of(ctx, block, den)
 
 
 def _dual_matrix(ctx, k, l, N):
     """The coefficient matrix [a_i*(f_j)], i = 0 .. r+N+1, of the
     monomial basis f_j of M_{k,l}, read from the numerator blocks of the
-    basis series; its rows are in lowest terms, so that a row is
-    integral exactly when its denominator is 1."""
+    basis series."""
     spec = FormSpec(ctx, k, l)
     if spec.dim == 0:
         raise EmptySpace(f"M_{{{k},{l}}} is zero over F_{ctx.q}")
@@ -144,13 +140,7 @@ def _dual_matrix(ctx, k, l, N):
     q = ctx.q
     cols = _coefficients(ctx, basis_series(ctx, k, l, rN * (q - 1) + l + q),
                          np.arange(rN + 1) * (q - 1) + l)
-    rows, den = _over_common_den(ctx, cols.block, cols.dens)
-    rows, dens = rows.swapaxes(1, 2), [den] * (rN + 1)
-    if not den.is_one():
-        rows, dens = zip(*(_lowest_terms(ctx, row, den)
-                           for row in rows.swapaxes(0, 1)))
-        rows = _stacked(rows)
-    return Matrix._of(ctx, rows, dens)
+    return Matrix._of(ctx, cols.block.swapaxes(1, 2), cols.den)
 
 
 def kernel_oracle(ctx, k, l, N):
@@ -168,13 +158,17 @@ def spans_equal(ctx, rows_a, rows_b):
 def _unitriangular(dual, r):
     """Rows 0 .. r of M are integral with unit diagonal and zeros above it
     (criterion 8)."""
-    top = dual.block[:, :r + 1, :r + 1]
+    top = dual.block[:, :r + 1]
+    if not dual.den.is_one():
+        top, rem = _rows_divmod(dual.ctx, top, dual.den.arr)
+        if rem.any():
+            return False
+    top = top[:, :, :r + 1]
     want = np.zeros(top.shape[:3] + (max(top.shape[3], 1),), dtype=np.int64)
     want[0, range(r + 1), range(r + 1), 0] = 1
     upper = np.triu(np.ones((r + 1, r + 1), dtype=bool))
-    return (all(d.is_one() for d in dual.dens[:r + 1])
-            and np.array_equal(_padded(top, want.shape[3])[:, upper],
-                               want[:, upper]))
+    return np.array_equal(_padded(top, want.shape[3])[:, upper],
+                          want[:, upper])
 
 
 def relation_report(ctx, k, l, N):
@@ -187,7 +181,8 @@ def relation_report(ctx, k, l, N):
     columns.  A phi row b lies in that kernel exactly when b M = 0, so
     the spans are equal exactly when every phi row annihilates M and the
     phi rank is N + 1.  Annihilation is sum_i b_i M[i][c] = 0 for every
-    phi row b and column c of M, over the common denominator of M.  The
+    phi row b and column c of M, read on the numerator blocks, since a
+    matrix over one denominator vanishes exactly when its block does.  The
     phi echelon form, reduced for the rank, is then the printed kernel;
     when the spans differ, the printed kernel is ``left_kernel(M)``, the
     unique reduced echelon basis of the kernel.
@@ -199,9 +194,8 @@ def relation_report(ctx, k, l, N):
             "the dual matrix is not unitriangular on its first r + 1 rows")
     kernel_dim = dual.rows - dual.cols
     phim = bm.matrix
-    scaled, _ = _over_common_den(ctx, dual.block, dual.dens)
     annihilates = not (_batch_product(
-        ctx, phim.block[:, :, None], scaled.swapaxes(1, 2)[:, None]
+        ctx, phim.block[:, :, None], dual.block.swapaxes(1, 2)[:, None]
     ).sum(axis=-2) % ctx.p).any()
     echelon, pivots = phim.rref()
     equal = annihilates and len(pivots) == kernel_dim
@@ -210,8 +204,7 @@ def relation_report(ctx, k, l, N):
         **head,
         "phi": [dict(head, b=b, basis_g=label)
                 for b, label in zip(phim.rendered(), bm.labels)],
-        "kernel": (echelon.rendered() if equal else
-                   [[str(c) for c in v] for v in left_kernel(dual)]),
+        "kernel": (echelon if equal else left_kernel(dual)).rendered(),
         "report": {
             "phi_rank": len(pivots),
             "kernel_dim": kernel_dim,

@@ -487,8 +487,7 @@ class USeries:
         """Stored (exponent, coefficient string) pairs, exponents
         ascending, rendered from the block as the one column of a matrix
         over den, so that each coefficient is in lowest terms."""
-        column = Matrix._of(self.ctx, self.block[:, :, None],
-                            [self.den] * self.exps.size)
+        column = Matrix._of(self.ctx, self.block[:, :, None], self.den)
         return [(e, s) for e, (s,) in zip(self.exps.tolist(),
                                           column.rendered())]
 

@@ -109,7 +109,8 @@ def test_criterion_7_relations_two_route():
               and vec.c[1] == RatFunc.constant(F3, -1))
     bm = phi(F3, 2, 1, 0)
     kern = kernel_oracle(F3, 2, 1, 0)
-    worked = worked and spans_equal(F3, [list(r.c) for r in bm.rows], kern)
+    worked = worked and spans_equal(F3, [list(r.c) for r in bm.rows],
+                                    kern.entries)
     _report("criterion-7 relations-two-route", all(oks) and worked,
             "q=3,5 r<=5 N<=3; worked instance b=(-T,-1)")
 

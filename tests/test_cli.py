@@ -220,6 +220,24 @@ def test_relations_negative_N_exit_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("before", (True, False), ids=("before", "after"))
+@pytest.mark.parametrize("argv", (
+    ["dim", "--k", "4", "--l", "1"],
+    ["basis", "--k", "4", "--l", "1"],
+    ["corollary", "--k", "2", "--l", "0", "--m", "1"],
+    ["relations", "--k", "2", "--l", "1", "--N", "0"],
+    ["selftest", "--profile", "quick"],
+), ids=lambda argv: argv[0])
+def test_prec_on_a_command_without_it_exits_2(capsys, argv, before):
+    # --prec is read only by expand, congruence and residue; anywhere else
+    # it is refused rather than ignored
+    argv = ["--prec", "1"] + argv if before else argv + ["--prec", "1"]
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and "--prec" in err
+
+
 def test_residue_command(capsys):
     code, out, _ = run(capsys, ["residue", "--k", "4", "--l", "1",
                                 "--a", "0"])

@@ -709,24 +709,25 @@ def identity(ctx, n):
 
 
 def test_left_kernel_full_rank():
-    assert left_kernel(identity(F3, 2)) == []
+    kern = left_kernel(identity(F3, 2))
+    assert kern.rows == 0 and kern.cols == 2
 
 
 def test_left_kernel_example():
     T = Poly.T(F3)
     m = Matrix(F3, [[Poly.one(F3), T], [T, T * T]])
     kern = left_kernel(m)
-    assert len(kern) == 1
+    assert kern.rows == 1
     minus_inv_T = RatFunc(-Poly.one(F3), T)
-    assert kern[0][0] == RatFunc(Poly.one(F3))
-    assert kern[0][1] == minus_inv_T
+    assert kern.entries[0][0] == RatFunc(Poly.one(F3))
+    assert kern.entries[0][1] == minus_inv_T
 
 
 def test_left_kernel_zero_row():
     m = Matrix(F3, [[Poly.zero(F3), Poly.zero(F3)]])
     kern = left_kernel(m)
-    assert len(kern) == 1
-    assert kern[0][0].is_one()
+    assert kern.rows == 1
+    assert kern.entries[0][0].is_one()
 
 
 def row_times_matrix(v, m):
@@ -748,11 +749,11 @@ def test_left_kernel_properties(ctx):
         m = Matrix(ctx, [[rand_poly(ctx, rng, maxdeg=2)
                           for _ in range(cols)] for _ in range(rows)])
         kern = left_kernel(m)
-        for v in kern:
+        for v in kern.entries:
             assert all(e.is_zero() for e in row_times_matrix(v, m))
             lead = next(e for e in v if not e.is_zero())
             assert lead.is_one()
-        assert m.rank() + len(kern) == rows
+        assert m.rank() + kern.rows == rows
 
 
 def test_rref_canonical():
@@ -895,8 +896,8 @@ def matrix_st(draw):
 def test_rref_matches_field_oracle(m):
     assert_same_echelon(m)
     kern = left_kernel(m)
-    if kern:
-        assert Matrix(m.ctx, kern).rref()[0].entries == tuple(map(tuple, kern))
+    if kern.rows:
+        assert Matrix(m.ctx, kern.entries).rref()[0].entries == kern.entries
 
 
 @pytest.mark.parametrize("ctx", FIELDS, ids=lambda c: f"q{c.q}")
@@ -930,13 +931,25 @@ def test_matrix_rows_need_not_be_in_lowest_terms():
         T = Poly.T(ctx)
         m = Matrix(ctx, [[RatFunc(T, T + 1), 1], [T, RatFunc(Poly.one(ctx),
                                                              T)]])
-        # every row times (T + 2) / (T + 2): the same matrix
+        # the block and the denominator times T + 2: the same matrix
         f = (T + 2).arr
         other = Matrix._of(ctx, fieldpoly._batch_product(
-            ctx, m.block, f[:, None, None]), [d * (T + 2) for d in m.dens])
+            ctx, m.block, f[:, None, None]), m.den * (T + 2))
         assert other == m and hash(other) == hash(m)
         assert other.entries == m.entries
+        assert other.rendered() == m.rendered() == [
+            [str(x) for x in row] for row in m.entries]
+        assert other.rref() == m.rref()
         assert other != Matrix(ctx, [[T, 1], [T, 1]])
+        # the left kernel of block / den is that of the block alone
+        rank1 = Matrix(ctx, [[RatFunc(T, T + 1), 1],
+                             [RatFunc(T * T, T + 1), T]])
+        scaled = Matrix._of(ctx, fieldpoly._batch_product(
+            ctx, rank1.block, f[:, None, None]), rank1.den * (T + 2))
+        kern = left_kernel(scaled)
+        assert kern == left_kernel(rank1)
+        assert kern.entries == ((RatFunc(Poly.one(ctx)),
+                                 RatFunc(-Poly.one(ctx), T)),)
 
 
 def poly_str_oracle(f):
@@ -957,7 +970,7 @@ def poly_str_oracle(f):
             tp = "T" if j == 1 else f"T^{j}"
             if c.is_one():
                 parts.append(tp)
-            elif c.in_prime_field():
+            elif c.code < c.ctx.p:
                 parts.append(f"{c.code}*{tp}")
             else:
                 parts.append(f"({c})*{tp}")

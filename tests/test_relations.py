@@ -1,3 +1,5 @@
+import functools
+
 import pytest
 
 from drinfeldforms import relations
@@ -123,16 +125,16 @@ def test_b_vector_integral_and_supported():
 
 def test_kernel_oracle_worked_example():
     kern = kernel_oracle(F3, 2, 1, 0)
-    assert len(kern) == 1
-    assert kern[0][0].is_one()
-    assert kern[0][1] == RatFunc(Poly.one(F3), Poly.T(F3))
+    assert kern.rows == 1
+    assert kern.entries[0][0].is_one()
+    assert kern.entries[0][1] == RatFunc(Poly.one(F3), Poly.T(F3))
 
 
 def test_phi_rank_and_span_equality():
     bm = phi(F3, 2, 1, 0)
     assert bmatrix_rank(bm) == 1
     kern = kernel_oracle(F3, 2, 1, 0)
-    assert spans_equal(F3, [list(r.c) for r in bm.rows], kern)
+    assert spans_equal(F3, [list(r.c) for r in bm.rows], kern.entries)
 
 
 @pytest.mark.parametrize("ctx", (F3, F5, F9), ids=lambda c: f"q{c.q}")
@@ -140,9 +142,9 @@ def test_kernel_rows_are_their_own_echelon_form(ctx):
     # relation_report compares the phi echelon form with these rows as is
     for r, l, N in ((0, 1, 0), (1, 1, 2), (2, 0, 1)):
         kern = kernel_oracle(ctx, r * (ctx.q - 1) + 2 * l, l, N)
-        red, piv = Matrix(ctx, kern).rref()
-        assert red.entries == tuple(map(tuple, kern))
-        assert len(piv) == len(kern) == N + 1
+        red, piv = Matrix(ctx, kern.entries).rref()
+        assert red.entries == kern.entries
+        assert len(piv) == kern.rows == N + 1
 
 
 def test_phi_single_row_for_N0():
@@ -197,8 +199,9 @@ def test_relations_small_sweep(ctx):
         args = (ctx, rep["k"], rep["l"], rep["N"])
         kern = kernel_oracle(*args)
         assert spans_equal(ctx, [list(row.c) for row in phi(*args).rows],
-                           kern) is rep["report"]["spans_equal"]
-        assert rep["kernel"] == [[str(x) for x in v] for v in kern], rep
+                           kern.entries) is rep["report"]["spans_equal"]
+        assert rep["kernel"] == [[str(x) for x in v]
+                                 for v in kern.entries], rep
 
 
 # ---------------------------------------------------------------------------
@@ -225,9 +228,10 @@ def test_kernel_oracle_annihilates_dual_matrix(ctx):
         for N in range(4):
             dual = relations._dual_matrix(ctx, k, l, N)
             kern = kernel_oracle(ctx, k, l, N)
-            assert len(kern) == N + 1
+            assert kern.rows == N + 1
             # v M = 0
-            assert all(x.is_zero() for v in kern for x in row_times(v, dual))
+            assert all(x.is_zero() for v in kern.entries
+                       for x in row_times(v, dual))
 
 
 @pytest.mark.parametrize("ctx", (F3, F5, F9), ids=lambda c: f"q{c.q}")
@@ -249,7 +253,9 @@ def test_dual_matrix_matches_entrywise_reading(ctx, monkeypatch):
                                 for i in range(rN + 1)])
             dual = relations._dual_matrix(ctx, k, l, 1)
             assert dual == want and dual.entries == want.entries
-            assert dual.dens == want.dens  # rows in lowest terms
+            # one denominator, the lcm of those of the series
+            assert dual.den == functools.reduce(
+                lambda a, b: a * (b // a.gcd(b)), (f.den for f in series))
             assert relations._unitriangular(dual, r) == (not scales)
 
 
@@ -281,7 +287,7 @@ def test_report_when_a_phi_row_leaves_the_kernel(ctx, k, l, N, monkeypatch):
     assert rep["report"]["annihilates"] is False
     assert rep["report"]["kernel_dim"] == N + 1
     assert rep["kernel"] == [[str(x) for x in v]
-                             for v in kernel_oracle(ctx, k, l, N)]
+                             for v in kernel_oracle(ctx, k, l, N).entries]
 
 
 @pytest.mark.parametrize("ctx,k,l,N", ((F3, 4, 1, 1), (F5, 6, 1, 2),
@@ -298,7 +304,7 @@ def test_report_when_a_phi_row_is_not_integral(ctx, k, l, N, monkeypatch):
     assert rep["report"]["annihilates"] is False
     assert rep["report"]["phi_rank"] == rep["report"]["kernel_dim"] == N + 1
     assert rep["kernel"] == [[str(x) for x in v]
-                             for v in kernel_oracle(ctx, k, l, N)]
+                             for v in kernel_oracle(ctx, k, l, N).entries]
     assert any("/" in b for b in rep["phi"][-1]["b"])
 
 
@@ -325,7 +331,7 @@ def test_report_over_a_dual_matrix_with_a_denominator(ctx, k, l, N,
     assert rep["report"] == {"phi_rank": N + 1, "kernel_dim": N + 1,
                              "spans_equal": True, "annihilates": True}
     assert rep["kernel"] == [[str(x) for x in v]
-                             for v in kernel_oracle(ctx, k, l, N)]
+                             for v in kernel_oracle(ctx, k, l, N).entries]
     # and a phi row that no longer matches is seen over the denominator
     monkeypatch.setattr(relations, "phi", real_phi)
     rep = relation_report(ctx, k, l, N)
@@ -342,7 +348,7 @@ def test_report_when_phi_loses_rank(monkeypatch):
     assert rep["report"]["spans_equal"] is False
     assert rep["report"]["annihilates"] is True
     assert rep["kernel"] == [[str(x) for x in v]
-                             for v in kernel_oracle(F5, 6, 1, 2)]
+                             for v in kernel_oracle(F5, 6, 1, 2).entries]
 
 
 @pytest.mark.parametrize("i,c,value", ((1, 1, 2), (0, 1, 1), (1, 0, "1/T")),
@@ -357,6 +363,20 @@ def test_non_unitriangular_dual_raises(i, c, value, monkeypatch):
     monkeypatch.setattr(relations, "_dual_matrix", lambda *args: bad)
     with pytest.raises(NotUnitriangular):
         relation_report(F3, 4, 1, 1)
+
+
+@pytest.mark.parametrize("ctx", (F3, F5, F9), ids=lambda c: f"q{c.q}")
+def test_unitriangular_over_a_common_denominator(ctx):
+    # the top rows are read over the one denominator of M: integral when
+    # it comes only from a row below r, not when a top entry needs it
+    r, k, l = 2, 2 * (ctx.q - 1) + 2, 1
+    rows = [list(row) for row in relations._dual_matrix(ctx, k, l, 1).entries]
+    f = RatFunc(Poly.T(ctx) + 1)
+    low = Matrix(ctx, rows[:-1] + [[x / f for x in rows[-1]]])
+    assert not low.den.is_one()
+    assert relations._unitriangular(low, r) is True
+    rows[1][0] = rows[1][0] + RatFunc(Poly.one(ctx), Poly.T(ctx))
+    assert relations._unitriangular(Matrix(ctx, rows), r) is False
 
 
 @pytest.mark.parametrize("ctx", (F3, F5, F9), ids=lambda c: f"q{c.q}")
@@ -389,8 +409,8 @@ def corollary_iso_check(ctx, k, l, N):
     k0 = k - 2 * l
     if k0 < 0 or space_dim(ctx, k0, 0) == 0:
         raise EmptySpace(f"M_{{{k0},0}} is zero over F_{ctx.q}")
-    dim_l = len(kernel_oracle(ctx, k, l, N))
-    dim_0 = len(kernel_oracle(ctx, k0, 0, N))
+    dim_l = kernel_oracle(ctx, k, l, N).rows
+    dim_0 = kernel_oracle(ctx, k0, 0, N).rows
     return {
         "q": ctx.q,
         "k": k,

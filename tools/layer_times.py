@@ -16,8 +16,10 @@ from an empty form cache:
   sum of u(az)^(q-1) over monic a prime to T, for P up to 320 only.
 
 Linear algebra: ``relation_report`` for q in {3, 5, 9}, type l = 1,
-r in {1, 3, 5} and N = 3, from a warm form cache (one untimed report
-first), so that the kernel, rank and span checks dominate.
+r in {1, 3, 5} and N = 3, and for q = 3, k = 2, l = 1 (r = 0) and
+N in {10, 20, 30}, sizes that no benchmark workload reaches, each from a
+warm form cache (one untimed report first), so that the kernel, rank
+and span checks dominate.
 
 Sweeps at q = 5, from a warm form cache: ``relation_report`` over the
 92 cases of the relation sweep (every type l, r <= 5, N <= 3), and
@@ -62,8 +64,9 @@ from drinfeldforms.relations import relation_report
 
 FIELDS = {3: (3, 1), 5: (5, 1), 9: (3, 2)}
 PRECS = (80, 160, 320, 640)
-RELATION_R = (1, 3, 5)
-RELATION_L, RELATION_N = 1, 3
+RELATION_L = 1
+RELATION_CASES = ([(q, r, 3) for q in FIELDS for r in (1, 3, 5)]
+                  + [(3, 0, N) for N in (10, 20, 30)])  # (q, r, N)
 RUNS = 3
 
 ROUTES = {
@@ -104,16 +107,15 @@ def cache_size():
 
 def relation_rows():
     rows = []
-    for q, field in FIELDS.items():
-        ctx = make_field(*field)
-        for r in RELATION_R:
-            k = r * (q - 1) + 2 * RELATION_L
-            row = {"q": q, "k": k, "l": RELATION_L, "r": r, "N": RELATION_N}
-            row["relation_report_s"] = round(timed(
-                lambda ctx, N: relation_report(ctx, k, RELATION_L, N),
-                ctx, RELATION_N, warm=True), 4)
-            print(json.dumps(row), file=sys.stderr, flush=True)
-            rows.append(row)
+    for q, r, N in RELATION_CASES:
+        ctx = make_field(*FIELDS[q])
+        k = r * (q - 1) + 2 * RELATION_L
+        row = {"q": q, "k": k, "l": RELATION_L, "r": r, "N": N}
+        row["relation_report_s"] = round(timed(
+            lambda ctx, N: relation_report(ctx, k, RELATION_L, N),
+            ctx, N, warm=True), 4)
+        print(json.dumps(row), file=sys.stderr, flush=True)
+        rows.append(row)
     return rows
 
 
