@@ -34,7 +34,7 @@ from .errors import (
     ZeroInput,
 )
 from .fieldpoly import make_field
-from .forms import FormExpr, basis, expand, space_dim
+from .forms import FormExpr, FormSpec, basis, expand
 from .relations import relation_report
 from .selftest import run_selftest
 
@@ -68,7 +68,7 @@ def cmd_expand(ctx, args):
 
 
 def cmd_dim(ctx, args):
-    d = space_dim(ctx, args.k, args.l)
+    d = FormSpec(ctx, args.k, args.l).dim
     if args.format == "json":
         _emit_json({"q": ctx.q, "k": args.k, "l": args.l, "dim": d})
     else:

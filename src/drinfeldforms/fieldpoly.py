@@ -28,7 +28,9 @@ from .errors import (
 
 NEG_INF = float("-inf")  # degree of the zero polynomial
 
-_TABLE_LIMIT = 1 << 20  # largest extension field with exp/log tables
+# p^r <= 2^20 for r > 1 bounds p by 2^10: the plane products of
+# _poly_product, which do not guard their sums, stay exact in int64
+_EXTENSION_LIMIT = 1 << 20
 _PRIME_LIMIT = 1 << 31  # residue products must be exact in int64
 
 
@@ -117,15 +119,15 @@ class FieldCtx:
 
     Elements are encoded as integers in [0, q) whose base-p digits are the
     coordinates with respect to the power basis 1, w, ..., w^(r-1) of the
-    generator w, where w is a root of ``modulus``.  For r > 1 a generator of
-    the multiplicative group is found once and exp/log tables drive scalar
-    multiplication and inversion.  Arrays of elements hold their
-    coordinates on a first axis of r planes; ``_plane_product`` and
-    ``_fold`` are the one rule by which every kernel multiplies them.
+    generator w, where w is a root of ``modulus``.  Arrays of elements hold
+    their coordinates on a first axis of r planes; ``_plane_product`` and
+    ``_fold`` are the one rule by which every kernel multiplies them, and
+    two single elements multiply by the same rule through ``_mul_coords``.
+    An element a of F_p inverts as a^(p-2) mod p, any other as a^(q-2),
+    since a^(q-1) = 1 for every nonzero a in F_q.
     """
 
-    __slots__ = ("p", "r", "q", "modulus", "key", "_wred", "_exp", "_log",
-                 "_ppow", "_frob")
+    __slots__ = ("p", "r", "q", "modulus", "key", "_wred", "_ppow", "_frob")
 
     def __init__(self, p, r):
         if p >= _PRIME_LIMIT:
@@ -137,10 +139,10 @@ class FieldCtx:
             raise NotOddPrime(f"p = {p} is not an odd prime")
         if r < 1:
             raise BadDegree(f"extension degree r = {r} must be at least 1")
-        if r > 1 and p ** r > _TABLE_LIMIT:
+        if r > 1 and p ** r > _EXTENSION_LIMIT:
             raise ValueError(
-                f"extension field of order {p ** r} is too large for "
-                "table-based arithmetic")
+                f"extension field of order {p ** r} is too large: p^r must "
+                "be at most 2^20 for exact int64 coordinate products")
         self.p = p
         self.r = r
         self.q = p ** r
@@ -149,14 +151,13 @@ class FieldCtx:
         self._ppow = tuple(p ** i for i in range(r))
         if r > 1:
             self._wred = self._reduction_rows()
-            self._exp, self._log = self._build_tables()
             # column j holds the coordinates of (w^j)^p
             self._frob = np.array(
                 [(FqElem(self, p ** j) ** p).coords for j in range(r)],
                 dtype=np.int64).T
         else:
             self._wred = np.zeros((0, 1), dtype=np.int64)
-            self._exp = self._log = self._frob = None
+            self._frob = None
 
     def _reduction_rows(self):
         # row s holds the coordinates of w^(r+s), for s = 0 .. r-2
@@ -205,40 +206,6 @@ class FieldCtx:
         # full product of two coordinate vectors, reduced mod the modulus
         return self._fold(np.convolve(a, b))
 
-    def _build_tables(self):
-        """exp/log tables of the smallest generator g of GF(q)^*, r > 1, from
-        the matrix M of multiplication by g: g generates when no M^((q-1)/t),
-        t a prime dividing q - 1, is 1; powers n .. 2n - 1 of g are M^n times
-        powers 0 .. n - 1.  Codes below p lie in F_p^*: skipped."""
-        p, r, order = self.p, self.r, self.q - 1
-        unit = np.eye(r, dtype=np.int64)
-        factors = _prime_factors(order)
-
-        def power_is_one(mul, n):  # square-and-multiply
-            acc = unit
-            while n:
-                acc = acc @ mul % p if n & 1 else acc
-                mul, n = mul @ mul % p, n >> 1
-            return np.array_equal(acc, unit)
-
-        for gen in range(p, self.q):
-            mul = np.array([self._mul_coords(self._decode(gen), w)
-                            for w in unit]).T
-            if not any(power_is_one(mul, order // t) for t in factors):
-                break
-        pw = np.zeros((r, order), dtype=np.int64)
-        pw[0, 0] = 1
-        n = 1
-        while n < order:
-            # r p^2 < 2^25 within the table limit: exact in int64
-            k = min(n, order - n)
-            pw[:, n:n + k] = mul @ pw[:, :k] % p
-            mul, n = mul @ mul % p, n + k
-        exp = np.array(self._ppow) @ pw
-        log = np.full(self.q, -1, dtype=np.int64)
-        log[exp] = np.arange(order)
-        return exp.tolist(), log.tolist()
-
     def _decode(self, code):
         # the coordinates of a code, lowest power of w first
         out = []
@@ -270,16 +237,15 @@ class FieldCtx:
     def _mul_codes(self, a, b):
         if self.r == 1:
             return (a * b) % self.p
-        if a == 0 or b == 0:
-            return 0
-        return self._exp[(self._log[a] + self._log[b]) % (self.q - 1)]
+        return self._encode(self._mul_coords(self._decode(a),
+                                             self._decode(b)))
 
     def _inv_code(self, a):
         if a == 0:
             raise DivisionByZero("inverse of zero field element")
-        if self.r == 1:
+        if a < self.p:
             return pow(a, self.p - 2, self.p)
-        return self._exp[(-self._log[a]) % (self.q - 1)]
+        return _power(FqElem(self, a), self.q - 2, None).code
 
     def zero(self):
         return FqElem(self, 0)
@@ -502,8 +468,8 @@ def _poly_product(ctx, a, b):
     if ctx.r == 1:
         return _convolve_mod(a[0], b[0], ctx.p)[None, :]
     # one convolution per plane of the shorter factor, with the planes of
-    # the other laid end to end at the stride n of a product; p^r <= 2^20
-    # keeps every sum in int64
+    # the other laid end to end at the stride n of a product; p <= 2^10
+    # under _EXTENSION_LIMIT keeps every sum of r n products in int64
     a, b = (a, b) if a.shape[1] <= b.shape[1] else (b, a)
     r, n = ctx.r, a.shape[1] + b.shape[1] - 1
     flat = _padded(b, n).ravel()[:(r - 1) * n + b.shape[1]]
@@ -588,6 +554,9 @@ class Poly:
     def from_pairs(cls, ctx, pairs):
         """Polynomial from (exponent, coefficient) pairs."""
         pairs = list(pairs)
+        low = min((e for e, _ in pairs), default=0)
+        if low < 0:
+            raise ValueError(f"negative exponent {low} in a polynomial")
         n = max((e for e, _ in pairs), default=-1) + 1
         arr = np.zeros((ctx.r, n), dtype=np.int64)
         for e, c in pairs:

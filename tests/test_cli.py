@@ -170,6 +170,24 @@ def test_dim_and_basis(capsys):
     assert code == 0 and out.strip() == "1"
 
 
+@pytest.mark.parametrize("k,l,message", (
+    ("4", "5", "type l = 5 outside [0, 1]"),
+    ("4", "-1", "type l = -1 outside [0, 1]"),
+    ("-1", "0", "weight k = -1 is negative"),
+), ids=("l-above", "l-negative", "k-negative"))
+def test_dim_refuses_what_basis_refuses(capsys, k, l, message):
+    # types are classes mod q - 1, so a dimension of 0 for l = 5 at q = 3
+    # would be wrong: dim exits 2 with basis's message
+    for command in ("dim", "basis"):
+        code, out, err = run(capsys, [command, "--k", k, "--l", l])
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_dim_of_a_weight_not_congruent_to_2l_is_0(capsys):
+    code, out, _ = run(capsys, ["dim", "--k", "3", "--l", "1"])
+    assert code == 0 and out == "0\n"
+
+
 # ---------------------------------------------------------------------------
 # congruence and corollary
 

@@ -1,4 +1,3 @@
-import hashlib
 import random
 import time
 
@@ -26,6 +25,7 @@ from drinfeldforms.fieldpoly import (
     ratfunc_parse,
     special_modulus,
 )
+from field_oracle import code_product, code_sum, element_product
 
 F3 = make_field(3, 1)
 F5 = make_field(5, 1)
@@ -78,54 +78,29 @@ def test_smallest_irreducible_quadratic_large_prime():
             == brute_smallest_irreducible_deg2(1021))
 
 
-def tables_oracle(ctx):
-    """exp/log tables one pure-Python product at a time: the smallest
-    generator by square-and-multiply on codes, then g^i = g^(i-1) * g."""
-    q = ctx.q
-    order = q - 1
-
-    def code_mul(a, b):
-        return ctx._encode(ctx._mul_coords(ctx._decode(a), ctx._decode(b)))
-
-    def code_pow(a, e):
-        acc, base = 1, a
-        while e:
-            if e & 1:
-                acc = code_mul(acc, base)
-            base = code_mul(base, base)
-            e >>= 1
-        return acc
-
-    gen = next(c for c in range(2, q)
-               if all(code_pow(c, order // t) != 1
-                      for t in fieldpoly._prime_factors(order)))
-    exp = [1] * order
-    log = [0] * q
-    for i in range(1, order):
-        exp[i] = code_mul(exp[i - 1], gen)
-        log[exp[i]] = i
-    log[0] = -1
-    return exp, log
-
-
-@pytest.mark.parametrize("p,r", ((3, 2), (5, 2), (3, 3), (7, 2), (3, 6),
-                                 (3, 8)))
-def test_field_tables_match_oracle(p, r):
+@pytest.mark.parametrize("p,r", ((3, 2), (5, 2), (3, 3), (7, 2)))
+def test_field_arithmetic_matches_oracle_exhaustively(p, r):
+    # every product of two elements, and a * a^-1 = 1 for every nonzero a:
+    # codes below p invert by a^(p-2) mod p, the others by a^(q-2)
     ctx = make_field(p, r)
-    assert (ctx._exp, ctx._log) == tables_oracle(ctx)
-    assert all(type(c) is int for c in ctx._exp[:3] + ctx._log[:3])
+    elems = [fieldpoly.FqElem(ctx, a) for a in range(ctx.q)]
+    for x in elems:
+        assert [(x * y).code for y in elems] == \
+            [code_product(ctx, x.code, y.code) for y in elems]
+    for x in elems[1:]:
+        assert code_product(ctx, x.code, x.inverse().code) == 1
 
 
-@pytest.mark.parametrize("p,r,digest", (
-    (3, 10, "1064a6c49e46d8457c8b32dbe4bdb81b23bd23f6d6e02d839adb2f371b7cea61"),
-    (7, 7, "fd923a0eef5db0be5e845e016deb3b0e05a5863cb8c758743949e057e7da876b"),
-))
-def test_field_tables_pinned(p, r, digest):
-    # sha256 of repr(_exp) from the table loop that doubled out the whole
-    # table of every candidate generator; too large for tables_oracle
+@pytest.mark.parametrize("p,r", ((3, 6), (3, 8), (3, 10), (7, 7)))
+def test_field_arithmetic_matches_oracle_on_a_sample(p, r):
     ctx = make_field(p, r)
-    assert hashlib.sha256(repr(ctx._exp).encode()).hexdigest() == digest
-    assert all(ctx._log[e] == i for i, e in enumerate(ctx._exp))
+    rng = random.Random(p ** r)
+    codes = [rng.randrange(1, ctx.q) for _ in range(40)] + [1, p - 1, p]
+    for a, b in zip(codes, codes[1:] + codes[:1]):
+        x, y = fieldpoly.FqElem(ctx, a), fieldpoly.FqElem(ctx, b)
+        assert (x * y).code == code_product(ctx, a, b)
+        assert code_product(ctx, a, x.inverse().code) == 1
+    assert (fieldpoly.FqElem(ctx, 0) * x).code == 0
 
 
 def test_make_field_3_12_is_fast():
@@ -247,10 +222,10 @@ def test_batch_product_over_F9_matches_poly_product():
 # ---------------------------------------------------------------------------
 # coordinate-plane kernels against entrywise element products
 #
-# FqElem products run on the exp/log tables and never touch coordinate
-# planes, so they are an oracle for every kernel that multiplies arrays
-# through FieldCtx._plane_product and FieldCtx._fold.  At q = 27 the fold
-# reduces by two rows of w^3 and w^4.
+# The schoolbook products of field_oracle share no code with the package,
+# so they are an oracle for every kernel that multiplies arrays through
+# FieldCtx._plane_product and FieldCtx._fold, FqElem products included.
+# At q = 27 the fold reduces by two rows of w^3 and w^4.
 
 F25 = make_field(5, 2)
 F27 = make_field(3, 3)
@@ -259,16 +234,6 @@ F27 = make_field(3, 3)
 def element_codes(ctx, arr):
     """The element codes of a coefficient array, coordinate axis first."""
     return np.tensordot(np.array(ctx._ppow), arr, axes=1)
-
-
-def element_product(ctx, a, b):
-    """Oracle: the product of two polynomials given by their codes, one
-    FqElem product and sum per pair of terms."""
-    out = [ctx.zero()] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += fieldpoly.FqElem(ctx, x) * fieldpoly.FqElem(ctx, y)
-    return [e.code for e in out]
 
 
 def random_array(ctx, rng, shape, prime_rows=()):
@@ -302,8 +267,7 @@ def test_poly_product_and_divmod_match_element_products(ctx):
             if not quot.is_zero():
                 want = element_product(ctx, element_codes(ctx, quot.arr), cy)
                 for i, c in enumerate(element_codes(ctx, rem.arr).tolist()):
-                    want[i] = (fieldpoly.FqElem(ctx, want[i])
-                               + fieldpoly.FqElem(ctx, c)).code
+                    want[i] = code_sum(ctx, want[i], c)
                 assert element_codes(ctx, back.arr).tolist() == want
             assert back == x
 
@@ -336,7 +300,7 @@ def test_times_coords_matches_element_products(ctx):
     for code in (1, ctx.p - 1, ctx.p, ctx.q - 1, ctx.p ** (ctx.r - 1) + 2):
         e = fieldpoly.FqElem(ctx, code)
         got = element_codes(ctx, fieldpoly._times_coords(ctx, e.coords, arr))
-        want = [[[(fieldpoly.FqElem(ctx, c) * e).code for c in row]
+        want = [[[code_product(ctx, c, code) for c in row]
                  for row in rows] for rows in element_codes(ctx, arr).tolist()]
         assert got.tolist() == want
         poly = Poly(ctx, arr[:, 0, 0])
@@ -344,8 +308,8 @@ def test_times_coords_matches_element_products(ctx):
     codes = [0, 1, ctx.p, ctx.q - 1]
     c = np.array([fieldpoly.FqElem(ctx, x).coords for x in codes]).T
     got = element_codes(ctx, fieldpoly._times_coords(ctx, c[:, None], arr))
-    want = [[[(fieldpoly.FqElem(ctx, x) * fieldpoly.FqElem(ctx, y)).code
-              for x in row] for y, row in zip(codes, rows)]
+    want = [[[code_product(ctx, x, y) for x in row]
+             for y, row in zip(codes, rows)]
             for rows in element_codes(ctx, arr).tolist()]
     assert got.tolist() == want
 
@@ -513,6 +477,16 @@ def test_one_power_loop_for_every_ring():
             acc_e, acc_x = acc_e * e, acc_x * x
         assert x ** -3 == (x * x * x).inverse()
     assert fieldpoly._power(Poly.T(F3), 0, "one") == "one"
+
+
+def test_poly_from_pairs_rejects_a_negative_exponent():
+    # an unchecked -1 indexed the last column: T^3 + T^-1 read as 2*T^3
+    with pytest.raises(ValueError, match="negative exponent -1"):
+        Poly.from_pairs(F3, [(3, 1), (-1, 1)])
+    with pytest.raises(ValueError, match="negative exponent -2"):
+        Poly.from_pairs(F9, [(-2, 1)])
+    assert Poly.from_pairs(F3, [(3, 1), (0, 1), (3, 1)]) == \
+        Poly.from_coeffs(F3, [1, 0, 0, 2])
 
 
 def test_poly_mixed_field_rejected():

@@ -14,6 +14,7 @@ from drinfeldforms.errors import (
 from drinfeldforms.fieldpoly import (FqElem, Poly, RatFunc, _rendered_rows,
                                     make_field)
 from drinfeldforms.useries import USeries
+from field_oracle import code_sum, element_product
 
 F3 = make_field(3, 1)
 F5 = make_field(5, 1)
@@ -240,8 +241,7 @@ def test_square_runs_one_forward_transform(monkeypatch):
 
 def element_numerators(f, g):
     """Oracle for integral f and g: the numerator codes of f * g, one
-    FqElem product and sum per pair of coefficients of each pair of terms.
-    FqElem products run on the exp/log tables, not on coordinate planes."""
+    schoolbook product of field_oracle per pair of terms."""
     ctx = f.ctx
     prec = min(f._eff_val() + g.prec, g._eff_val() + f.prec)
     ppow = np.array(ctx._ppow)
@@ -250,14 +250,14 @@ def element_numerators(f, g):
         for e2, y in g.coeffs.items():
             if e1 + e2 >= prec:
                 continue
-            out = acc.setdefault(e1 + e2, {})
-            for i, a in enumerate((ppow @ x.arr).tolist()):
-                for j, b in enumerate((ppow @ y.arr).tolist()):
-                    out[i + j] = (out.get(i + j, ctx.zero())
-                                  + FqElem(ctx, a) * FqElem(ctx, b))
+            prod = element_product(ctx, (ppow @ x.arr).tolist(),
+                                   (ppow @ y.arr).tolist())
+            out = acc.setdefault(e1 + e2, [])
+            out += [0] * (len(prod) - len(out))
+            for i, c in enumerate(prod):
+                out[i] = code_sum(ctx, out[i], c)
     nums = {}
-    for e, out in sorted(acc.items()):
-        codes = [out.get(i, ctx.zero()).code for i in range(max(out) + 1)]
+    for e, codes in sorted(acc.items()):
         while codes and not codes[-1]:
             codes.pop()
         if codes:

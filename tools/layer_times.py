@@ -2,6 +2,10 @@
 
     PYTHONPATH=src python3 tools/layer_times.py OUT.json [--parent OLD.json]
 
+Field construction: ``fieldpoly.FieldCtx(p, r)`` itself, not the cached
+``make_field``, for (p, r) in (3, 2), (5, 2), (3, 3), (3, 10), (7, 7) and
+(3, 12): the modulus search and the matrix of Frobenius images.
+
 Generator builds, for q in {3, 5, 9} and P in {80, 160, 320, 640}, each
 from an empty form cache:
 
@@ -55,7 +59,7 @@ import time
 
 import numpy as np
 
-from drinfeldforms import forms, selftest
+from drinfeldforms import fieldpoly, forms, selftest
 from drinfeldforms.carlitz import monic_series_sum
 from drinfeldforms.congruence import _b_max, build_residue_form, find_ab
 from drinfeldforms.fieldpoly import make_field
@@ -63,6 +67,7 @@ from drinfeldforms.forms import basis, valid_specs
 from drinfeldforms.relations import relation_report
 
 FIELDS = {3: (3, 1), 5: (5, 1), 9: (3, 2)}
+FIELD_CASES = ((3, 2), (5, 2), (3, 3), (3, 10), (7, 7), (3, 12))  # (p, r)
 PRECS = (80, 160, 320, 640)
 RELATION_L = 1
 RELATION_CASES = ([(q, r, 3) for q in FIELDS for r in (1, 3, 5)]
@@ -103,6 +108,16 @@ def cache_size():
                                "block_bytes": sum(s.block.nbytes
                                                   for s in table.values())}
             for name, table in vars(forms._CACHE).items()}
+
+
+def field_rows():
+    rows = []
+    for p, r in FIELD_CASES:
+        row = {"p": p, "r": r, "FieldCtx_s": round(timed(
+            lambda *_: fieldpoly.FieldCtx(p, r), None, None), 6)}
+        print(json.dumps(row), file=sys.stderr, flush=True)
+        rows.append(row)
+    return rows
 
 
 def relation_rows():
@@ -178,6 +193,7 @@ def main(argv=None):
     ap.add_argument("--parent", help="an earlier output of this tool, kept "
                                      "under \"parent\"")
     args = ap.parse_args(argv)
+    fields = field_rows()
     rows = []
     for q, field in FIELDS.items():
         ctx = make_field(*field)
@@ -188,18 +204,18 @@ def main(argv=None):
                     row[f"{name}_s"] = round(timed(build, ctx, prec), 4)
             print(json.dumps(row), file=sys.stderr, flush=True)
             rows.append(row)
-    out = {"what": "median time in seconds: generator builds and selftest "
-                   "lines from an empty form cache, relation reports and "
-                   "sweeps from a warm one; the form cache after each "
-                   "selftest line",
-           "runs": RUNS, "host": host(), "results": rows,
+    out = {"what": "median time in seconds: field constructions, generator "
+                   "builds and selftest lines from an empty form cache, "
+                   "relation reports and sweeps from a warm one; the form "
+                   "cache after each selftest line",
+           "runs": RUNS, "host": host(), "fields": fields, "results": rows,
            "relations": relation_rows(), "sweeps": sweep_rows(),
            "selftest": selftest_rows()}
     if args.parent:
         with open(args.parent) as fh:
             old = json.load(fh)
         out["parent"] = {key: old[key] for key in (
-            "host", "results", "relations", "sweeps", "selftest")
+            "host", "fields", "results", "relations", "sweeps", "selftest")
             if key in old}
     with open(args.out, "w") as fh:
         json.dump(out, fh, indent=2)
