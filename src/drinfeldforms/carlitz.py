@@ -213,12 +213,18 @@ def monic_power_sum(ctx, power, prec):
     while power * val(top + 1) < prec:
         top += 1
     rel = [prec - power * val(d) for d in range(top + 1)]
-    # v[j] holds V_(d-1)[j] for j >= d at step d; V_0[0] = 1 is left out
-    v = [None] + [USeries(ctx, {
-        q ** j - q ** i: c for i, c in enumerate(carlitz_map(
-            Poly.T(ctx) ** j).coeffs) if q ** j - q ** i < rel[j]},
-        rel[j]) for j in range(1, top + 1)]
-    total = USeries.monomial(ctx, 1, power, prec)
+    # v[j] holds V_(d-1)[j] for j >= d at step d; V_0[0] = 1 is left out.
+    # V_0[j] = u^(q^j) rho_(T^j)(1/u) has l_i(T^j) at u^(q^j - q^i): the
+    # rows of one batch of coefficients for T^1 .. T^top, i descending
+    powers = np.zeros((ctx.r, top, top + 1), dtype=np.int64)
+    powers[0] = np.eye(top + 1, dtype=np.int64)[1:]
+    ls = _rho_coeffs(ctx, powers)
+    v = [None]
+    for j in range(1, top + 1):
+        exps = q ** j - q ** np.arange(j, -1, -1, dtype=np.int64)
+        v.append(USeries._make(ctx, exps, ls[:, j - 1, j::-1], Poly.one(ctx),
+                               0, rel[j]))
+    total = USeries.one(ctx, prec - power).shift(power)
     lead = None  # prod over 0 < i < d of V_i[i]^(q-1)
     for d in range(1, top + 1):
         if d > 1:

@@ -114,7 +114,8 @@ def cmd_corollary(ctx, args):
     alpha = args.alpha
     if alpha is None:
         if args.l == 0:
-            alpha = args.m
+            # any alpha holds for l = 0; the least one that m can meet
+            alpha = max(args.m, 1)
         else:
             alpha = 0
             l = args.l

@@ -23,7 +23,7 @@ from .errors import (
     HypothesisViolated,
     NonIntegralCoefficient,
 )
-from .fieldpoly import Poly, special_modulus
+from .fieldpoly import Poly, _special_divmod, special_modulus
 from .forms import FormExpr, FormSpec, basis, expand, valid_specs
 
 CONGRUENT_ZERO = "CongruentZero"
@@ -89,7 +89,8 @@ def _witness(ctx, k, l, d, a, b, label, exp, coeff_rf):
             f"coefficient of u^{exp} is {coeff_rf}, not in F_q[T]")
     coeff = coeff_rf.num
     modulus = special_modulus(ctx, d)
-    residue = coeff % modulus
+    # T^(q^d) = T folds the coefficient onto its residue in one sum
+    residue = Poly(ctx, _special_divmod(ctx, coeff.arr, d)[1])
     return CongruenceWitness(ctx.q, k, l, d, a, b, label, exp, coeff,
                              modulus, residue, _verdict(a, coeff, residue))
 

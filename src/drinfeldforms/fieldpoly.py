@@ -453,6 +453,25 @@ def _rows_divmod(ctx, arr, g):
     return _times_coords(ctx, inv, quot), work[..., :dg]
 
 
+def _special_divmod(ctx, arr, d):
+    """Quotients and remainders of all the polynomials in a coefficient
+    array of any shape, coordinate axis first and T last, by T^Q - T with
+    Q = q^d, shaped as those of ``_rows_divmod``.  As T^Q = T, column j >= 1
+    adds onto column 1 + (j - 1) mod (Q - 1) of the remainder; with z the
+    array minus its remainder, the quotient is m_j = -sum_(i >= 0)
+    z_(j+1-i(Q-1)), one cumulative sum on the same stride.  Only sums occur,
+    so the rule holds plane by plane over F_(p^r)."""
+    p, n, step = ctx.p, arr.shape[-1], ctx.q ** d - 1
+    # columns 1 .. n-1, padded to whole strides of Q - 1
+    tail = _padded(arr[..., 1:], -(-(n - 1) // step) * step)
+    tail = tail.reshape(arr.shape[:-1] + (-1, step))
+    folded = tail.sum(axis=-2) % p
+    quot = (folded[..., None, :] - np.cumsum(tail, axis=-2)) % p
+    rem = np.concatenate((arr[..., :1], folded), axis=-1)
+    return (quot.reshape(arr.shape[:-1] + (-1,))[..., :max(n - step - 1, 0)],
+            rem[..., :min(n, step + 1)])
+
+
 def _convolve_mod(a, b, p):
     # exact 1-D convolution of residue vectors, on Python integers once a
     # sum of products could pass the int64 bound
@@ -846,6 +865,11 @@ class RatFunc:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        # a unit factor leaves the other, which is immutable, as it is
+        if self.is_one():
+            return other
+        if other.is_one():
+            return self
         if self.den.is_one() and other.den.is_one():
             return RatFunc._reduced(self.num * other.num, self.den)
         g1 = self.num.gcd(other.den)

@@ -36,7 +36,7 @@ from .errors import (
     ExprError,
 )
 from .fieldpoly import (FieldCtx, Poly, RatFunc, _as_ratfunc, _power,
-                        parse_expr, special_modulus)
+                        _special_divmod, parse_expr, special_modulus)
 from .useries import USeries
 
 # name -> q -> (weight, type, valuation, least precision), in printing order
@@ -87,18 +87,21 @@ def build_g1(ctx, prec):
 
 
 def build_DeltaT(ctx, prec):
-    """(g1(Tz) - g1(z)) / (T^q - T); the division must be exact."""
+    """(g1(Tz) - g1(z)) / (T^q - T); the division must be exact.  The
+    numerator block of the integral difference is divided by T^q - T in
+    one strided sum (``_special_divmod``), with no long division and no
+    gcd; a nonzero remainder raises DivisionNotExact."""
     if prec < ctx.q * (ctx.q - 1) + 1:
         raise ValueError("prec must be at least q(q-1) + 1")
     g1 = build_g1(ctx, prec)
     diff = g1.substitute_Tz(out_prec=prec) - g1
-    bracket = RatFunc(special_modulus(ctx, 1))
-    out = diff * bracket.inverse()
-    if not out.integral:
+    quot, rem = _special_divmod(ctx, diff.block, 1)
+    if not diff.integral or rem.any():
         raise DivisionNotExact(
             "g1(Tz) - g1(z) is not divisible by T^q - T; "
             "this is an internal bug")
-    return out
+    return USeries._make(ctx, diff.exps, quot, diff.den, diff.val,
+                         diff.prec, sums=False)
 
 
 def build_DeltaT_from_monic_sum(ctx, prec):

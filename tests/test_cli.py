@@ -219,6 +219,17 @@ def test_corollary_q9_example(capsys):
     assert "residue=0" in out
 
 
+def test_corollary_m_0_at_l_0_blames_m(capsys):
+    # no alpha was given: its default for l = 0 is at least 1, so the
+    # error names the m that the user did give
+    code, out, err = run(capsys, ["corollary", "--k", "2", "--l", "0",
+                                  "--m", "0"])
+    assert code == 2
+    assert out == ""
+    assert "m = 0 is not in [1, alpha = 1]" in err
+    assert "alpha = 0" not in err
+
+
 def test_relations_worked_example(capsys):
     code, out, _ = run(capsys, ["--format", "json", "relations",
                                 "--k", "2", "--l", "1", "--N", "0"])

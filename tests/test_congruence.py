@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from drinfeldforms import congruence
@@ -18,7 +20,8 @@ from drinfeldforms.errors import (
     BadWeight,
     HypothesisViolated,
 )
-from drinfeldforms.fieldpoly import make_field, special_modulus
+from drinfeldforms.fieldpoly import (FqElem, Poly, RatFunc, make_field,
+                                    special_modulus)
 from drinfeldforms.forms import FormExpr, basis, expand, get_form
 
 F3 = make_field(3, 1)
@@ -90,6 +93,23 @@ def test_check_congruence_d2():
         w = check_congruence(F3, mono.expr(F3), 4, 1, 2, 6, 3)
         assert w.ok()
         assert w.modulus == special_modulus(F3, 2)
+
+
+@pytest.mark.parametrize("ctx", (F3, F5, F9), ids=lambda c: f"q{c.q}")
+@pytest.mark.parametrize("d", (1, 2))
+def test_witness_residue_is_the_remainder(ctx, d):
+    # the folded residue against Poly division, on coefficients below, at
+    # and far above the degree q^d of the modulus
+    rng = random.Random(10 * ctx.q + d)
+    modulus = special_modulus(ctx, d)
+    for n in (1, 2, ctx.q ** d, ctx.q ** d + 1, 3 * ctx.q ** d + 2):
+        coeff = Poly.from_coeffs(ctx, [FqElem(ctx, rng.randrange(ctx.q))
+                                       for _ in range(n)])
+        w = congruence._witness(ctx, 2, 1, d, 1, 1, "f", 3, RatFunc(coeff))
+        assert w.modulus == modulus
+        assert w.residue == coeff % modulus
+        assert w.verdict == (CONGRUENT_ZERO if (coeff % modulus).is_zero()
+                             else congruence.FAIL)
 
 
 def test_check_congruence_rejects_bad_pair():

@@ -104,7 +104,9 @@ def test_field_arithmetic_matches_oracle_on_a_sample(p, r):
 
 
 def test_make_field_3_12_is_fast():
-    # 531441 elements; one pure-Python product per entry took about 24 s
+    # 531441 elements, but no per-element table is built: the field is
+    # the modulus search and the Frobenius matrix, and an inverse is
+    # one a^(q-2); together about 20 ms
     start = time.perf_counter()
     ctx = make_field(3, 12)
     assert time.perf_counter() - start < 5
@@ -542,6 +544,29 @@ def test_special_modulus_divides_lcm(ctx, d):
     assert (lcm_monics(ctx, d) % special_modulus(ctx, d)).is_zero()
 
 
+@pytest.mark.parametrize("ctx", (F3, F5, F9, F25, F27),
+                         ids=lambda c: f"q{c.q}")
+@pytest.mark.parametrize("d", (1, 2))
+def test_special_divmod_matches_long_division(ctx, d):
+    # the strided sum against one long division by T^(q^d) - T, on batch
+    # shapes of every rank, widths below, at and above Q + 1, zero rows
+    rng = np.random.default_rng(100 * ctx.q + d)
+    big = ctx.q ** d
+    g = special_modulus(ctx, d).arr
+    for n in (0, 1, 2, big - 1, big, big + 1, big + 2, 2 * big + 3,
+              3 * big - 1):
+        for shape in ((), (3,), (2, 2)):
+            arr = rng.integers(0, ctx.p, (ctx.r,) + shape + (n,))
+            if shape:
+                arr[:, 0] = 0
+            quot, rem = fieldpoly._special_divmod(ctx, arr, d)
+            want_quot, want_rem = fieldpoly._rows_divmod(ctx, arr, g)
+            assert quot.shape == want_quot.shape
+            assert rem.shape == want_rem.shape
+            assert np.array_equal(quot, want_quot)
+            assert np.array_equal(rem, want_rem)
+
+
 # ---------------------------------------------------------------------------
 # rational functions
 
@@ -579,6 +604,19 @@ def test_ratfunc_field_ops():
         RatFunc(Poly.one(F3), Poly.zero(F3))
     with pytest.raises(DivisionByZero):
         RatFunc.constant(F3, 0).inverse()
+
+
+@pytest.mark.parametrize("ctx", FIELDS, ids=lambda c: f"q{c.q}")
+def test_ratfunc_times_one_is_the_other_factor(ctx):
+    T = Poly.T(ctx)
+    one = RatFunc.constant(ctx, 1)
+    for x in (RatFunc(T ** 2 + 1), RatFunc(Poly.constant(ctx, 2)),
+              RatFunc(T + 1, T * T), RatFunc(Poly.one(ctx), T + 2),
+              RatFunc.constant(ctx, 0)):
+        for prod in (one * x, x * one, x * 1, 1 * x, x * Poly.one(ctx)):
+            assert isinstance(prod, RatFunc)
+            assert prod == x and prod.num == x.num and prod.den == x.den
+    assert one * one == one
 
 
 def test_ratfunc_integrality_flag():

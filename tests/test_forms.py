@@ -1,10 +1,11 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from drinfeldforms import forms
+from drinfeldforms import fieldpoly, forms, useries
 from drinfeldforms.carlitz import monic_series_sum
 from drinfeldforms.errors import (
     BadWeight,
+    DivisionNotExact,
     EmptySpace,
     ExprError,
     PrecisionExceeded,
@@ -280,6 +281,55 @@ def test_DeltaT_route_equivalence(ctx):
     a = build_DeltaT(ctx, prec)
     b = build_DeltaT_from_monic_sum(ctx, prec)
     assert a == b
+
+
+def DeltaT_oracle(ctx, prec):
+    """(g1(Tz) - g1) times the inverse of T^q - T in F_q(T): the division
+    by the series constructor's long division and gcd."""
+    g1 = build_g1(ctx, prec)
+    return (g1.substitute_Tz(out_prec=prec) - g1) * RatFunc(
+        special_modulus(ctx, 1)).inverse()
+
+
+@pytest.mark.parametrize("ctx", (F3, F5, make_field(7, 1), F9,
+                                 make_field(5, 2), make_field(3, 3)),
+                         ids=lambda c: f"q{c.q}")
+def test_DeltaT_matches_division_in_FqT(ctx):
+    q = ctx.q
+    low = q * (q - 1) + 1
+    for prec in (low, low + 1, low + q, 2 * low + 3):
+        assert build_DeltaT(ctx, prec) == DeltaT_oracle(ctx, prec)
+
+
+def test_DeltaT_of_a_non_multiple_raises(monkeypatch):
+    # g1 + u^2: the difference keeps -u^2, which T^3 - T does not divide
+    real = forms.build_g1
+
+    def off(ctx, prec):
+        return real(ctx, prec) + USeries(ctx, {ctx.q - 1: 1}, prec)
+    monkeypatch.setattr(forms, "build_g1", off)
+    with pytest.raises(DivisionNotExact, match="not divisible by T\\^q - T"):
+        build_DeltaT(F3, 20)
+
+
+@pytest.mark.parametrize("ctx", FIELDS, ids=lambda c: f"q{c.q}")
+def test_DeltaT_runs_no_long_division_and_no_gcd(ctx, monkeypatch):
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+    monkeypatch.setattr(fieldpoly, "_rows_divmod",
+                        counted("_rows_divmod", fieldpoly._rows_divmod))
+    monkeypatch.setattr(useries, "_lowest_terms",
+                        counted("_lowest_terms", useries._lowest_terms))
+    q = ctx.q
+    out = build_DeltaT(ctx, 2 * q * (q - 1) + 2)
+    assert calls == []
+    monkeypatch.undo()
+    assert out == DeltaT_oracle(ctx, 2 * q * (q - 1) + 2)
 
 
 @pytest.mark.parametrize("ctx", (F3, F5), ids=lambda c: f"q{c.q}")

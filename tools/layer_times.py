@@ -1,6 +1,12 @@
 """Layer-by-layer times, written as JSON.
 
     PYTHONPATH=src python3 tools/layer_times.py OUT.json [--parent OLD.json]
+        [--section fields|builds|relations|sweeps|selftest ...]
+
+Each ``--section`` runs one of the five sections below; given several
+times it runs each of them, and with none it runs all five.  On a
+2-vCPU machine a full run takes about 3.5 min and the builds section
+alone about 20 s.
 
 Field construction: ``fieldpoly.FieldCtx(p, r)`` itself, not the cached
 ``make_field``, for (p, r) in (3, 2), (5, 2), (3, 3), (3, 10), (7, 7) and
@@ -10,6 +16,8 @@ Generator builds, for q in {3, 5, 9} and P in {80, 160, 320, 640}, each
 from an empty form cache:
 
 * ``g1``: ``build_g1``, from the power q - 1 sum of the Carlitz lattice;
+* ``Delta_T``: ``build_DeltaT``, (g1(Tz) - g1) / (T^q - T), including the
+  build of g1;
 * ``E_monic_sum``: E as the sum of a * u(az) over every monic a, the
   route that the tests keep as an oracle;
 * ``E_theta``: ``build_E``, E = Theta(Delta_T) / Delta_T, including the
@@ -39,12 +47,14 @@ after the line: the entries and numerator-block bytes of each of its
 tables.  Criterion 9 empties the cache before its first pass, so the
 ``run_selftest`` row records what criterion 9 leaves.
 
-Each time is the median of three runs in one process.  The JSON
-records the host (platform, CPU count, Python and numpy versions) next to
-the times, so that figures from different machines are not mixed.  With
-``--parent`` the results of an earlier output of this tool, for example
-one run with ``PYTHONPATH`` on an older tree, are kept under "parent", so
-that one record holds both sets of figures from the same machine.
+Each time is the median of three runs in one process, in seconds to
+six decimals for field constructions and generator builds, four
+elsewhere.  The JSON records the host (platform, CPU count, Python and
+numpy versions) next to the times, so that figures from different
+machines are not mixed.  With ``--parent`` the results of an earlier
+output of this tool, for example one run with ``PYTHONPATH`` on an older
+tree, are kept under "parent" for the sections run, so that one record
+holds both sets of figures from the same machine.
 """
 
 from __future__ import annotations
@@ -76,6 +86,7 @@ RUNS = 3
 
 ROUTES = {
     "g1": forms.build_g1,
+    "Delta_T": forms.build_DeltaT,
     "E_monic_sum": lambda ctx, prec: monic_series_sum(ctx, lambda a: a, 1,
                                                       prec),
     "E_theta": forms.build_E,
@@ -117,6 +128,20 @@ def field_rows():
             lambda *_: fieldpoly.FieldCtx(p, r), None, None), 6)}
         print(json.dumps(row), file=sys.stderr, flush=True)
         rows.append(row)
+    return rows
+
+
+def build_rows():
+    rows = []
+    for q, field in FIELDS.items():
+        ctx = make_field(*field)
+        for prec in PRECS:
+            row = {"q": q, "prec": prec}
+            for name, build in ROUTES.items():
+                if prec <= PREC_CAP.get(name, prec):
+                    row[f"{name}_s"] = round(timed(build, ctx, prec), 6)
+            print(json.dumps(row), file=sys.stderr, flush=True)
+            rows.append(row)
     return rows
 
 
@@ -187,36 +212,40 @@ def host():
     }
 
 
+# section name -> (key of its rows in the JSON, the rows)
+SECTIONS = {
+    "fields": ("fields", field_rows),
+    "builds": ("results", build_rows),
+    "relations": ("relations", relation_rows),
+    "sweeps": ("sweeps", sweep_rows),
+    "selftest": ("selftest", selftest_rows),
+}
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("out", help="path of the JSON file to write")
     ap.add_argument("--parent", help="an earlier output of this tool, kept "
                                      "under \"parent\"")
+    ap.add_argument("--section", action="append", choices=list(SECTIONS),
+                    help="run only this section; may be repeated "
+                         "(default: every section)")
     args = ap.parse_args(argv)
-    fields = field_rows()
-    rows = []
-    for q, field in FIELDS.items():
-        ctx = make_field(*field)
-        for prec in PRECS:
-            row = {"q": q, "prec": prec}
-            for name, build in ROUTES.items():
-                if prec <= PREC_CAP.get(name, prec):
-                    row[f"{name}_s"] = round(timed(build, ctx, prec), 4)
-            print(json.dumps(row), file=sys.stderr, flush=True)
-            rows.append(row)
+    sections = [name for name in SECTIONS
+                if args.section is None or name in args.section]
     out = {"what": "median time in seconds: field constructions, generator "
                    "builds and selftest lines from an empty form cache, "
                    "relation reports and sweeps from a warm one; the form "
                    "cache after each selftest line",
-           "runs": RUNS, "host": host(), "fields": fields, "results": rows,
-           "relations": relation_rows(), "sweeps": sweep_rows(),
-           "selftest": selftest_rows()}
+           "runs": RUNS, "host": host(), "sections": sections}
+    keys = [SECTIONS[name][0] for name in sections]
+    for name, key in zip(sections, keys):
+        out[key] = SECTIONS[name][1]()
     if args.parent:
         with open(args.parent) as fh:
             old = json.load(fh)
-        out["parent"] = {key: old[key] for key in (
-            "host", "fields", "results", "relations", "sweeps", "selftest")
-            if key in old}
+        out["parent"] = {key: old[key] for key in ["host"] + keys
+                         if key in old}
     with open(args.out, "w") as fh:
         json.dump(out, fh, indent=2)
         fh.write("\n")
