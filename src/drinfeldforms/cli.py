@@ -13,6 +13,7 @@ import json
 import sys
 
 from .congruence import (
+    _valuation,
     build_residue_form,
     check_congruence,
     check_corollary,
@@ -117,11 +118,7 @@ def cmd_corollary(ctx, args):
             # any alpha holds for l = 0; the least one that m can meet
             alpha = max(args.m, 1)
         else:
-            alpha = 0
-            l = args.l
-            while l % ctx.p == 0:
-                l //= ctx.p
-                alpha += 1
+            alpha = _valuation(ctx.p, args.l)[0]
             if alpha == 0:
                 raise HypothesisViolated(
                     f"p = {ctx.p} does not divide l = {args.l}")

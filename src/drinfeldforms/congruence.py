@@ -148,6 +148,15 @@ def check_corollary(ctx, form, k, l, alpha, m):
     return _witness(ctx, k, l, 1, a, m, str(form), exp, coeff_rf)
 
 
+def _valuation(p, n):
+    """(v, n / p^v) for the largest power p^v dividing the nonzero n."""
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v, n
+
+
 def residue_normalized(series):
     """The u^1 coefficient, i.e. the residue at infinity in the
     normalization that absorbs the period."""
@@ -162,11 +171,7 @@ def build_residue_form(ctx, form, k, l, a, prec=None):
     if a < 0:
         raise BadPair(f"a = {a} must be nonnegative")
     pb = spec.r + 2 + a
-    b = 0
-    n = pb
-    while n % ctx.p == 0:
-        n //= ctx.p
-        b += 1
+    b, n = _valuation(ctx.p, pb)
     if n != 1 or b < 1:
         raise BadPair(f"r + 2 + a = {pb} is not a positive power of p")
     if prec is None:

@@ -47,21 +47,6 @@ def _power(x, n, one):
     return one if acc is None else acc
 
 
-def _is_prime(n):
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
-
-
 def _prime_factors(n):
     out = []
     f = 2
@@ -135,7 +120,7 @@ class FieldCtx:
             raise ValueError(
                 f"p = {p} is too large: the characteristic must be below "
                 f"2^31")
-        if not _is_prime(p) or p == 2:
+        if p < 3 or _prime_factors(p) != [p]:
             raise NotOddPrime(f"p = {p} is not an odd prime")
         if r < 1:
             raise BadDegree(f"extension degree r = {r} must be at least 1")
@@ -220,26 +205,6 @@ class FieldCtx:
             code = code * self.p + int(coords[i]) % self.p
         return code
 
-    # scalar arithmetic on codes
-    def _add_codes(self, a, b):
-        if self.r == 1:
-            return (a + b) % self.p
-        return self._encode(np.add(self._decode(a), self._decode(b)))
-
-    def _neg_code(self, a):
-        if self.r == 1:
-            return (-a) % self.p
-        return self._encode(np.negative(self._decode(a)))
-
-    def _sub_codes(self, a, b):
-        return self._add_codes(a, self._neg_code(b))
-
-    def _mul_codes(self, a, b):
-        if self.r == 1:
-            return (a * b) % self.p
-        return self._encode(self._mul_coords(self._decode(a),
-                                             self._decode(b)))
-
     def _inv_code(self, a):
         if a == 0:
             raise DivisionByZero("inverse of zero field element")
@@ -310,6 +275,13 @@ class FqElem:
     def is_one(self):
         return self.code == 1
 
+    def _coordwise(self, op, *others):
+        # op on the coordinates of self and others, then reduced: + and -
+        # by the entry, * by the plane rule of every array product
+        ctx = self.ctx
+        return FqElem(ctx, ctx._encode(op(self.coords,
+                                          *(o.coords for o in others))))
+
     def _coerce(self, other):
         if isinstance(other, FqElem):
             _same_ctx(self, other)
@@ -322,7 +294,7 @@ class FqElem:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return FqElem(self.ctx, self.ctx._add_codes(self.code, other.code))
+        return self._coordwise(np.add, other)
 
     __radd__ = __add__
 
@@ -330,19 +302,19 @@ class FqElem:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return FqElem(self.ctx, self.ctx._sub_codes(self.code, other.code))
+        return self._coordwise(np.subtract, other)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __neg__(self):
-        return FqElem(self.ctx, self.ctx._neg_code(self.code))
+        return self._coordwise(np.negative)
 
     def __mul__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return FqElem(self.ctx, self.ctx._mul_codes(self.code, other.code))
+        return self._coordwise(self.ctx._mul_coords, other)
 
     __rmul__ = __mul__
 
@@ -475,7 +447,7 @@ def _special_divmod(ctx, arr, d):
 def _convolve_mod(a, b, p):
     # exact 1-D convolution of residue vectors, on Python integers once a
     # sum of products could pass the int64 bound
-    if a.size * (p - 1) * (p - 1) < (1 << 62):
+    if min(a.size, b.size) * (p - 1) * (p - 1) < (1 << 62):
         return np.convolve(a, b) % p
     return (np.convolve(a.astype(object), b.astype(object)) % p).astype(
         np.int64)
@@ -759,8 +731,10 @@ def _rendered_rows(ctx, block):
     return out
 
 
+@functools.lru_cache(maxsize=16)
 def special_modulus(ctx, d):
-    """The congruence modulus T^(q^d) - T."""
+    """The congruence modulus T^(q^d) - T, built once per field and d of
+    the last few asked for: a Poly never changes."""
     if d < 1:
         raise BadDegree(f"d = {d} must be at least 1")
     return Poly.from_pairs(ctx, [(ctx.q ** d, 1), (1, ctx.p - 1)])
@@ -1051,17 +1025,14 @@ class _ExprParser:
 
     def _atom(self):
         ctx = self.ctx
-        kind, value = self._peek()
+        kind, value = self._take()
         if kind == "(":
-            self._take()
             inner = self._expr()
             self._take(")")
             return inner
         if kind == "int":
-            self._take()
             return RatFunc.constant(ctx, value)
         if kind == "name":
-            self._take()
             if value == "T":
                 return RatFunc(Poly.T(ctx))
             if value == "w":

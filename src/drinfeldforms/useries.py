@@ -50,7 +50,7 @@ import numpy as np
 
 from .errors import MixedField, PrecisionExceeded, ZeroSeries
 from .fieldpoly import (FqElem, Matrix, Poly, RatFunc, _as_ratfunc,
-                        _cleared_row, _convolve_mod, _frobenius_array,
+                        _cleared_row, _frobenius_array,
                         _lowest_terms, _padded, _poly_product, _power,
                         _spread, _stacked, _times_coords, _trimmed)
 
@@ -549,11 +549,10 @@ def _dense_product(ctx, A, B, rows):
     costs at least ``_DIRECT_MAX`` products, residues are centred on zero
     and a real FFT is used if ``|A|_2 |B|_2 r err(log2 N + 1) < 1/4``
     certifies that every rounded entry is exact (the extra stage covers
-    the real-to-complex split).  Otherwise the flattened planes are
-    multiplied by the exact 1-D convolution of ``fieldpoly``, each plane of
-    the factor with fewer rows against all the planes of the other laid
-    end to end.  Either way ``FieldCtx._plane_product`` combines the
-    planes and ``FieldCtx._fold`` reduces them.
+    the real-to-complex split).  Otherwise u = T^width turns both blocks
+    into polynomials in T and their exact product ``_poly_product`` is the
+    product of the blocks.  Either way ``FieldCtx._plane_product`` combines
+    the planes and ``FieldCtx._fold`` reduces them.
     """
     p, r = ctx.p, ctx.r
     square = B is A  # tested before slicing makes A a new view
@@ -576,16 +575,10 @@ def _dense_product(ctx, A, B, rows):
             planes = ctx._plane_product(fa, fb, np.multiply)
             prod = np.fft.irfft2(planes, (n1, n2))[:, :m, :width]
             return ctx._fold(np.rint(prod).astype(np.int64))
-    # planes flattened with T-stride width; those of the longer factor are
-    # laid end to end at the stride n of a full product
-    if na > nb:
-        A, B, (na, da), (nb, db) = B, A, (nb, db), (na, da)
-    n = na + nb - 1
-    flat_b = np.zeros((B.shape[0], n, width), dtype=np.int64)
-    flat_b[:, :nb, :db] = B
-    flat_b = flat_b.ravel()[:flat_b.size - na * width + db]
-
-    def mul(a, b):
-        a = _padded(a, width).ravel()[:(na - 1) * width + da]
-        return _convolve_mod(a, b, p).reshape(-1, n, width)[:, :m]
-    return ctx._fold(ctx._plane_product(A, flat_b, mul))
+    # u = T^width makes each block a polynomial in T (Kronecker
+    # substitution); a last row cut after its da columns keeps the product
+    # at exactly na + nb - 1 rows of width columns
+    flat_a = _padded(A, width).reshape(r, -1)[:, :(na - 1) * width + da]
+    flat_b = _padded(B, width).reshape(r, -1)[:, :(nb - 1) * width + db]
+    return _poly_product(ctx, flat_a, flat_b)[:, :m * width].reshape(
+        r, m, width)

@@ -16,6 +16,11 @@ def code_sum(ctx, a, b):
                in enumerate(zip(digits(ctx, a), digits(ctx, b))))
 
 
+def code_negative(ctx, a):
+    return sum((-x) % ctx.p * ctx.p ** i
+               for i, x in enumerate(digits(ctx, a)))
+
+
 def reduced_code(ctx, w):
     """The code of the polynomial in w with coefficients ``w``, lowest
     first, reduced mod the modulus: w^s = -(m_0 w^(s-r) + ... +

@@ -130,6 +130,12 @@ def test_expand_malformed_exits_2(capsys):
     assert "error" in err
 
 
+def test_expand_truncated_reports_end_of_expression(capsys):
+    code, out, err = run(capsys, ["expand", "E_T +"])
+    assert code == 2 and out == ""
+    assert err == "error: unexpected end of expression\n"
+
+
 @pytest.mark.parametrize("depth", [250, 3000])
 def test_expand_deep_nesting_exits_2(capsys, depth):
     expr = "(" * depth + "E_T" + ")" * depth

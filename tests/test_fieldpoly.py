@@ -25,7 +25,8 @@ from drinfeldforms.fieldpoly import (
     ratfunc_parse,
     special_modulus,
 )
-from field_oracle import code_product, code_sum, element_product
+from field_oracle import (code_negative, code_product, code_sum,
+                          element_product)
 
 F3 = make_field(3, 1)
 F5 = make_field(5, 1)
@@ -78,15 +79,31 @@ def test_smallest_irreducible_quadratic_large_prime():
             == brute_smallest_irreducible_deg2(1021))
 
 
-@pytest.mark.parametrize("p,r", ((3, 2), (5, 2), (3, 3), (7, 2)))
+def assert_element_ops_match_oracle(x, y):
+    # +, binary -, unary -, * and ** of two elements against field_oracle
+    ctx, a, b = x.ctx, x.code, y.code
+    assert (x + y).code == code_sum(ctx, a, b)
+    assert (x - y).code == code_sum(ctx, a, code_negative(ctx, b))
+    assert (-x).code == code_negative(ctx, a)
+    assert (x * y).code == code_product(ctx, a, b)
+    power = 1
+    for n in range(b % 7 + 2):
+        assert (x ** n).code == power
+        power = code_product(ctx, power, a)
+
+
+@pytest.mark.parametrize("p,r", ((3, 1), (5, 1), (3, 2), (5, 2), (3, 3),
+                                 (7, 2)))
 def test_field_arithmetic_matches_oracle_exhaustively(p, r):
-    # every product of two elements, and a * a^-1 = 1 for every nonzero a:
-    # codes below p invert by a^(p-2) mod p, the others by a^(q-2)
+    # every sum, difference, negative, product and small power of two
+    # elements, on coordinates for every r, and a * a^-1 = 1 for every
+    # nonzero a: codes below p invert by a^(p-2) mod p, the others by
+    # a^(q-2)
     ctx = make_field(p, r)
     elems = [fieldpoly.FqElem(ctx, a) for a in range(ctx.q)]
     for x in elems:
-        assert [(x * y).code for y in elems] == \
-            [code_product(ctx, x.code, y.code) for y in elems]
+        for y in elems:
+            assert_element_ops_match_oracle(x, y)
     for x in elems[1:]:
         assert code_product(ctx, x.code, x.inverse().code) == 1
 
@@ -98,7 +115,7 @@ def test_field_arithmetic_matches_oracle_on_a_sample(p, r):
     codes = [rng.randrange(1, ctx.q) for _ in range(40)] + [1, p - 1, p]
     for a, b in zip(codes, codes[1:] + codes[:1]):
         x, y = fieldpoly.FqElem(ctx, a), fieldpoly.FqElem(ctx, b)
-        assert (x * y).code == code_product(ctx, a, b)
+        assert_element_ops_match_oracle(x, y)
         assert code_product(ctx, a, x.inverse().code) == 1
     assert (fieldpoly.FqElem(ctx, 0) * x).code == 0
 
@@ -166,9 +183,20 @@ def test_make_field_refuses_large_p_before_primality_test(monkeypatch):
     def no_test(n):
         raise AssertionError("primality test ran before the size check")
 
-    monkeypatch.setattr(fieldpoly, "_is_prime", no_test)
+    monkeypatch.setattr(fieldpoly, "_prime_factors", no_test)
     with pytest.raises(ValueError):
         make_field(4294967311, 1)
+
+
+@pytest.mark.parametrize("p", (3, 5, (1 << 31) - 1, 1000003))
+def test_make_field_accepts_odd_primes(p):
+    assert make_field(p, 1).p == p
+
+
+@pytest.mark.parametrize("p", (0, 1, 2, 9, 15))
+def test_make_field_refuses_non_odd_primes(p):
+    with pytest.raises(NotOddPrime, match=f"^p = {p} is not an odd prime$"):
+        make_field(p, 1)
 
 
 def test_largest_supported_prime_is_exact():
@@ -507,6 +535,16 @@ def test_special_modulus_examples():
     assert str(m2) == "T^9 + 2*T"
     with pytest.raises(BadDegree):
         special_modulus(F3, 0)
+
+
+@pytest.mark.parametrize("ctx,d", ((F3, 1), (F3, 2), (F9, 1)),
+                         ids=("q3-d1", "q3-d2", "q9-d1"))
+def test_special_modulus_is_built_once(ctx, d):
+    m = special_modulus(ctx, d)
+    assert special_modulus(ctx, d) is m
+    assert m == Poly.from_pairs(ctx, [(ctx.q ** d, 1), (1, ctx.p - 1)])
+    with pytest.raises(BadDegree):
+        special_modulus(ctx, 1 - d)
 
 
 def lcm_monics(ctx, d):
@@ -1049,3 +1087,11 @@ def test_parse_expr_named_atoms():
         parse_expr(F3, "1/(T - T)")
     with pytest.raises(ExprError):
         parse_expr(F3, "T^")
+
+
+@pytest.mark.parametrize("text", ("E_T +", "(", "-", "E_T*", "", "   ",
+                                  "T^"))
+def test_parse_expr_reports_end_of_input(text):
+    names = {"E_T": RatFunc(Poly.T(F3))}
+    with pytest.raises(ExprError, match="^unexpected end of expression$"):
+        parse_expr(F3, text, names)

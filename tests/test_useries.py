@@ -5,14 +5,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from drinfeldforms import useries
+from drinfeldforms import fieldpoly, useries
 from drinfeldforms.errors import (
     MixedField,
     PrecisionExceeded,
     ZeroSeries,
 )
-from drinfeldforms.fieldpoly import (FqElem, Poly, RatFunc, _rendered_rows,
-                                    make_field)
+from drinfeldforms.fieldpoly import (FqElem, Poly, RatFunc, _convolve_mod,
+                                    _padded, _rendered_rows, make_field)
 from drinfeldforms.useries import USeries
 from field_oracle import code_sum, element_product
 
@@ -188,13 +188,13 @@ def test_product_threshold_sides():
 def test_product_large_prime_takes_exact_route(monkeypatch):
     # at p = 1000003 the FFT error bound fails and the integer route runs
     calls = []
-    convolve = useries._convolve_mod
+    convolve = fieldpoly._convolve_mod
 
     def counting(a, b, p):
         calls.append(p)
         return convolve(a, b, p)
 
-    monkeypatch.setattr(useries, "_convolve_mod", counting)
+    monkeypatch.setattr(fieldpoly, "_convolve_mod", counting)
     rng = random.Random(7)
     ctx = F_BIG
 
@@ -239,6 +239,56 @@ def test_square_runs_one_forward_transform(monkeypatch):
     assert len(calls) == 4
 
 
+def dense_direct_oracle(ctx, A, B, rows):
+    """The integer route of ``_dense_product`` by its own plane layout:
+    the planes of each block flattened with T-stride width, each plane of
+    the factor with fewer rows convolved with all the planes of the other
+    laid end to end at the stride of a full product."""
+    p = ctx.p
+    A, B = A[:, :rows], B[:, :rows]
+    (na, da), (nb, db) = A.shape[1:], B.shape[1:]
+    m, width = min(rows, na + nb - 1), da + db - 1
+    if na > nb:
+        A, B, (na, da), (nb, db) = B, A, (nb, db), (na, da)
+    n = na + nb - 1
+    flat_b = np.zeros((B.shape[0], n, width), dtype=np.int64)
+    flat_b[:, :nb, :db] = B
+    flat_b = flat_b.ravel()[:flat_b.size - na * width + db]
+
+    def mul(a, b):
+        a = _padded(a, width).ravel()[:(na - 1) * width + da]
+        return _convolve_mod(a, b, p).reshape(-1, n, width)[:, :m]
+    return ctx._fold(ctx._plane_product(A, flat_b, mul))
+
+
+@pytest.mark.parametrize("ctx", (F3, F5, F9, make_field(3, 3), F_BIG),
+                         ids=lambda c: f"q{c.q}")
+def test_dense_product_matches_direct_oracle(ctx, monkeypatch):
+    # the integer route on full, cut, one-row, gapped and square products
+    monkeypatch.setattr(useries, "_DIRECT_MAX", 1 << 62)
+    rng = np.random.default_rng(ctx.q)
+
+    def block(n, width, gapped=False):
+        out = rng.integers(0, ctx.p, (ctx.r, n, width))
+        if gapped:
+            out[:, 1:-1:2] = 0  # rows of a grid on twice the exponent step
+        out[0, [0, -1], -1] = 1
+        return out
+
+    cases = [(block(6, 5), block(4, 7), 9), (block(6, 5), block(4, 7), 5),
+             (block(6, 5), block(4, 7), 3), (block(1, 3), block(8, 6), 8),
+             (block(7, 4), block(1, 1), 7), (block(5, 9), block(1, 4), 5),
+             (block(9, 6, True), block(7, 6, True), 15),
+             (block(9, 6, True), block(3, 2), 4)]
+    square = block(8, 5)
+    cases += [(square, square, 15), (square, square, 6)]
+    for A, B, rows in cases:
+        got = useries._dense_product(ctx, A, B, rows)
+        want = dense_direct_oracle(ctx, A, B, rows)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, want)
+
+
 def element_numerators(f, g):
     """Oracle for integral f and g: the numerator codes of f * g, one
     schoolbook product of field_oracle per pair of terms."""
@@ -272,13 +322,13 @@ def test_dense_product_matches_element_products(ctx, route, monkeypatch):
     # each route of _dense_product in turn, told which by _DIRECT_MAX:
     # products, a square, a scalar multiple and a gapped exponent grid
     calls = []
-    convolve = useries._convolve_mod
+    product = useries._poly_product
 
-    def counting(a, b, p):
-        calls.append(p)
-        return convolve(a, b, p)
+    def counting(ctx, a, b):
+        calls.append(ctx.p)
+        return product(ctx, a, b)
 
-    monkeypatch.setattr(useries, "_convolve_mod", counting)
+    monkeypatch.setattr(useries, "_poly_product", counting)
     monkeypatch.setattr(useries, "_DIRECT_MAX",
                         1 << 62 if route == "direct" else 0)
     rng = random.Random(ctx.q)
