@@ -731,15 +731,6 @@ def _rendered_rows(ctx, block):
     return out
 
 
-@functools.lru_cache(maxsize=16)
-def special_modulus(ctx, d):
-    """The congruence modulus T^(q^d) - T, built once per field and d of
-    the last few asked for: a Poly never changes."""
-    if d < 1:
-        raise BadDegree(f"d = {d} must be at least 1")
-    return Poly.from_pairs(ctx, [(ctx.q ** d, 1), (1, ctx.p - 1)])
-
-
 # ---------------------------------------------------------------------------
 # Rational functions
 
@@ -904,6 +895,18 @@ def _constants(ctx):
         zero, one = Poly(ctx, one[:, :0]), Poly(ctx, one)
         out = _CONSTANTS[ctx.key] = (zero, one, RatFunc._reduced(zero, one),
                                      RatFunc._reduced(one, one))
+    return out
+
+
+def special_modulus(ctx, d):
+    """The congruence modulus T^(q^d) - T, built once per field and d and
+    shared like the constants above."""
+    if d < 1:
+        raise BadDegree(f"d = {d} must be at least 1")
+    out = _CONSTANTS.get((ctx.key, d))
+    if out is None:
+        out = _CONSTANTS[ctx.key, d] = Poly.from_pairs(
+            ctx, [(ctx.q ** d, 1), (1, ctx.p - 1)])
     return out
 
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from drinfeldforms import fieldpoly, useries
+from drinfeldforms import useries
 from drinfeldforms.errors import (
     MixedField,
     PrecisionExceeded,
@@ -186,15 +186,15 @@ def test_product_threshold_sides():
 
 
 def test_product_large_prime_takes_exact_route(monkeypatch):
-    # at p = 1000003 the FFT error bound fails and the integer route runs
+    # at p = 1000003 the FFT error bound fails and the integer route runs:
+    # the series product, and not its oracle, calls the polynomial product
     calls = []
-    convolve = fieldpoly._convolve_mod
+    product = useries._poly_product
 
-    def counting(a, b, p):
-        calls.append(p)
-        return convolve(a, b, p)
+    def counting(ctx, a, b):
+        calls.append(ctx.p)
+        return product(ctx, a, b)
 
-    monkeypatch.setattr(fieldpoly, "_convolve_mod", counting)
     rng = random.Random(7)
     ctx = F_BIG
 
@@ -205,8 +205,11 @@ def test_product_large_prime_takes_exact_route(monkeypatch):
         return USeries(ctx, terms, val + 30)
 
     f, g = big(-3), big(2)
-    assert_same_series(f * g, dict_product(f, g))
+    with monkeypatch.context() as patch:
+        patch.setattr(useries, "_poly_product", counting)
+        got = f * g
     assert calls
+    assert_same_series(got, dict_product(f, g))
 
 
 def test_square_runs_one_forward_transform(monkeypatch):
