@@ -12,12 +12,10 @@ of Function Field Arithmetic, ch. 1; Gekeler, Invent. Math. 93, 1988).
 
 from __future__ import annotations
 
-import itertools
-
 import numpy as np
 
 from .errors import NotMonic, ZeroInput
-from .fieldpoly import (FqElem, Poly, RatFunc, _as_ratfunc, _batch_product,
+from .fieldpoly import (Poly, RatFunc, _as_ratfunc, _batch_product,
                         _cleared_row, _spread, _stacked)
 from .useries import USeries
 
@@ -79,10 +77,15 @@ def monics(ctx, deg):
     coefficient vector with the constant coefficient varying fastest."""
     if deg < 0:
         raise ValueError("degree must be nonnegative")
-    # codes run highest coefficient first, so the constant ticks fastest
-    return [Poly.from_coeffs(ctx, [FqElem(ctx, c) for c in reversed(codes)]
-                             + [1])
-            for codes in itertools.product(range(ctx.q), repeat=deg)]
+    # np.indices counts with its last axis fastest; reversed, that axis is
+    # the constant coefficient.  Each code splits into its base-p digits,
+    # the field coordinates.
+    n = ctx.q ** deg
+    codes = np.indices((ctx.q,) * deg).reshape(deg, n)[::-1].T
+    arr = np.zeros((n, ctx.r, deg + 1), dtype=np.int64)
+    arr[:, :, :deg] = codes[:, None] // np.array(ctx._ppow)[:, None] % ctx.p
+    arr[:, 0, deg] = 1
+    return [Poly(ctx, a) for a in arr]
 
 
 def _sparse_product(ctx, x, y, rows):

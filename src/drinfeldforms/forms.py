@@ -62,7 +62,7 @@ def build_E(ctx, prec):
     if prec < 2:
         raise ValueError("prec must be at least 2")
     dt = get_form(ctx, "Delta_T", prec + ctx.q - 2)
-    return (dt.theta() * dt.inverse()).truncate(prec)
+    return _CACHE.keep(ctx, "E", (dt.theta() * dt.inverse()).truncate(prec))
 
 
 def build_ET(ctx, prec):
@@ -70,7 +70,8 @@ def build_ET(ctx, prec):
     if prec < ctx.q + 1:
         raise ValueError("prec must be at least q + 1")
     e = get_form(ctx, "E", prec)
-    return e - e.substitute_Tz(out_prec=prec) * Poly.T(ctx)
+    return _CACHE.keep(ctx, "E_T",
+                       e - e.substitute_Tz(out_prec=prec) * Poly.T(ctx))
 
 
 def build_g1(ctx, prec):
@@ -83,7 +84,8 @@ def build_g1(ctx, prec):
         raise ValueError("prec must be at least q")
     s = monic_power_sum(ctx, ctx.q - 1, prec)
     # negating T^q - T once, not every coefficient of the sum
-    return USeries.one(ctx, prec) + s * -special_modulus(ctx, 1)
+    return _CACHE.keep(ctx, "g1",
+                       USeries.one(ctx, prec) + s * -special_modulus(ctx, 1))
 
 
 def build_DeltaT(ctx, prec):
@@ -100,8 +102,8 @@ def build_DeltaT(ctx, prec):
         raise DivisionNotExact(
             "g1(Tz) - g1(z) is not divisible by T^q - T; "
             "this is an internal bug")
-    return USeries._make(ctx, diff.exps, quot, diff.den, diff.val,
-                         diff.prec, sums=False)
+    return _CACHE.keep(ctx, "Delta_T", USeries._make(
+        ctx, diff.exps, quot, diff.den, diff.val, diff.prec, sums=False))
 
 
 def build_DeltaT_from_monic_sum(ctx, prec):
@@ -118,14 +120,14 @@ def build_DeltaW(ctx, prec):
     inner = max(prec, ctx.q * (ctx.q - 1) + 1)
     tq = Poly.T(ctx) ** ctx.q
     out = build_g1(ctx, inner) + build_DeltaT(ctx, inner) * tq
-    return out.truncate(prec)
+    return _CACHE.keep(ctx, "Delta_W", out.truncate(prec))
 
 
 def build_h(ctx, prec):
     """The cusp form of weight q+1 and type 1, -Delta_W * E_T."""
     inner = max(prec, ctx.q * (ctx.q - 1) + 1)
     out = -(build_DeltaW(ctx, inner) * get_form(ctx, "E_T", inner))
-    return out.truncate(prec)
+    return _CACHE.keep(ctx, "h", out.truncate(prec))
 
 
 _BUILDERS = {
@@ -142,13 +144,16 @@ class _FormCache:
     """Grow-only cache of generator series and of monomials in them, per
     field.
 
-    A generator is built at the largest precision requested so far, at
-    least half again its last one.  A monomial is keyed by the canonical
+    Every generator build is kept, whichever path asked for it: each
+    builder ends in ``keep``, which stores its series unless an entry at
+    least as precise is cached.  A request above the cached precision
+    builds the generator at exactly that precision, or at its least
+    precision when that is higher.  A monomial is keyed by the canonical
     term tuple of ``FormExpr``: one factor name^e is the generator's power
     (an inverse first for e < 0), and several factors are the product of
     their one-factor entries.  Every entry serves any smaller precision by
     truncation, which is observationally identical to a fresh build; a
-    rebuilt generator drops every monomial that contains it.
+    replaced generator drops every monomial that contains it.
     """
 
     def __init__(self):
@@ -158,18 +163,25 @@ class _FormCache:
     def generator(self, ctx, name, prec):
         if name not in _BUILDERS:
             raise ExprError(f"unknown generator {name!r}")
-        prec = max(prec, _GENERATORS[name](ctx.q)[3])
+        cached = self._gens.get((ctx.key, name))
+        if cached is None or cached.prec < prec:
+            least = _GENERATORS[name](ctx.q)[3]
+            cached = _BUILDERS[name](ctx, max(prec, least))
+        return cached.truncate(prec)
+
+    def keep(self, ctx, name, series):
+        """Store ``series`` as generator ``name`` unless the cached entry
+        is at least as precise; a replaced entry drops every monomial that
+        contains the generator.  Returns ``series``."""
         key = (ctx.key, name)
         cached = self._gens.get(key)
-        if cached is None or cached.prec < prec:
-            target = max(prec, int(1.5 * cached.prec) if cached else prec)
-            cached = _BUILDERS[name](ctx, target)
-            self._gens[key] = cached
+        if cached is None or cached.prec < series.prec:
+            self._gens[key] = series
             stale = [k for k in self._monos if k[0] == ctx.key
                      and any(n == name for n, _ in k[1])]
             for k in stale:
                 del self._monos[k]
-        return cached.truncate(prec)
+        return series
 
     def monomial(self, ctx, mono, prec):
         """The product of name^exp over ``mono`` to absolute precision

@@ -1,3 +1,5 @@
+import collections
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -615,9 +617,10 @@ CACHE_PREC = {3: (2, 16), 5: (2, 20), 9: (2, 24)}
 @given(data=st.data())
 def test_warm_cache_serves_what_an_empty_cache_builds(ctx, data):
     # requests at rising and then falling precisions share one cache, and
-    # a cached generator is rebuilt deeper between two of them; each warm
-    # expansion, and each warm monomial of its terms, equals the one
-    # built from an empty cache
+    # a cached generator is rebuilt deeper between two of them, either by
+    # a request or by a direct builder call, which stores it through
+    # ``keep``; each warm expansion, and each warm monomial of its terms,
+    # equals the one built from an empty cache
     q = ctx.q
     T = Poly.T(ctx)
     lo, hi = CACHE_PREC[q]
@@ -632,13 +635,19 @@ def test_warm_cache_serves_what_an_empty_cache_builds(ctx, data):
                       label="precs")
     precs = sorted(precs[:2]) + sorted(precs[2:], reverse=True)
     rebuild_at = data.draw(st.integers(1, len(precs) - 1), label="rebuild_at")
+    via = data.draw(st.sampled_from(("get_form", "keep")), label="via")
     clear_form_cache()
     warm = []
     for i, prec in enumerate(precs):
         if i == rebuild_at:
             cached = sorted(n for k, n in forms._CACHE._gens if k == ctx.key)
             name = data.draw(st.sampled_from(cached), label="rebuilt")
-            get_form(ctx, name, forms._CACHE._gens[ctx.key, name].prec + 1)
+            deeper = forms._CACHE._gens[ctx.key, name].prec + 1
+            if via == "get_form":
+                get_form(ctx, name, deeper)
+            else:
+                built = forms._BUILDERS[name](ctx, deeper)
+                assert forms._CACHE._gens[ctx.key, name] is built
             assert not any(n == name for k, mono in forms._CACHE._monos
                            if k == ctx.key for n, _ in mono)
         for expr in exprs:
@@ -655,6 +664,111 @@ def test_warm_cache_serves_what_an_empty_cache_builds(ctx, data):
             assert series.is_zero() and series.prec == prec
         if expr is exprs[3]:
             assert not series.integral
+    clear_form_cache()
+
+
+# ---------------------------------------------------------------------------
+# the form cache: every build is kept, and a request gets its precision
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """The precisions each generator is built at, by name: the builders
+    are counted in the table the cache calls and under the module names
+    by which they call each other."""
+    built = collections.defaultdict(list)
+    for name, build in list(forms._BUILDERS.items()):
+        def counted(ctx, prec, build=build, name=name):
+            built[name].append(prec)
+            return build(ctx, prec)
+        monkeypatch.setitem(forms._BUILDERS, name, counted)
+        monkeypatch.setattr(forms, build.__name__, counted)
+    clear_form_cache()
+    yield built
+    clear_form_cache()
+
+
+def least_prec(ctx, name):
+    return forms._GENERATORS[name](ctx.q)[3]
+
+
+@pytest.mark.parametrize("ctx", FIELDS, ids=lambda c: f"q{c.q}")
+def test_a_DeltaW_build_keeps_the_generators_it_computes(ctx, builds):
+    # build_DeltaW computes g1 and Delta_T on the way; none of the three
+    # is built again for a request at or below the build's precision
+    P = least_prec(ctx, "Delta_W") + 2
+    build_DeltaW(ctx, P)
+    assert builds == {"g1": [P, P], "Delta_T": [P]}
+    builds.clear()
+    for name in ("g1", "Delta_T", "Delta_W"):
+        for prec in (1, P // 2, P - 1, P):
+            assert get_form(ctx, name, prec).prec == prec
+    assert not builds
+
+
+@pytest.mark.parametrize("ctx", FIELDS, ids=lambda c: f"q{c.q}")
+def test_h_then_DeltaW_builds_DeltaW_once(ctx, builds):
+    P = least_prec(ctx, "Delta_W") + 2
+    h = get_form(ctx, "h", P)
+    dw = get_form(ctx, "Delta_W", P)
+    assert builds["h"] == [P] and builds["Delta_W"] == [P]
+    assert h == -(dw * get_form(ctx, "E_T", P))
+
+
+@pytest.mark.parametrize("ctx", FIELDS, ids=lambda c: f"q{c.q}")
+def test_keep_never_replaces_an_entry_with_a_less_precise_one(ctx):
+    q = ctx.q
+    clear_form_cache()
+    deep = get_form(ctx, "g1", 2 * q)
+    square = forms._CACHE.monomial(ctx, (("g1", 2),), 2 * q)
+    for prec in (q, 2 * q):
+        s = build_g1(ctx, prec)
+        assert s.prec == prec
+        assert forms._CACHE.keep(ctx, "g1", s) is s
+        assert forms._CACHE._gens[ctx.key, "g1"] is deep
+    # the monomial in g1 survives, since g1 was never replaced
+    assert forms._CACHE._monos[ctx.key, (("g1", 2),)] is square
+    clear_form_cache()
+
+
+@pytest.mark.parametrize("ctx", FIELDS, ids=lambda c: f"q{c.q}")
+def test_a_replacement_drops_the_monomials_in_that_generator(ctx):
+    q = ctx.q
+    clear_form_cache()
+    for mono in ((("g1", 2),), (("E", -1), ("g1", 1)), (("E", 1),)):
+        forms._CACHE.monomial(ctx, mono, q)
+    deeper = build_g1(ctx, forms._CACHE._gens[ctx.key, "g1"].prec + 1)
+    assert forms._CACHE._gens[ctx.key, "g1"] is deeper
+    # E^-1 stays as the one-factor entry of the dropped product
+    assert sorted(mono for key, mono in forms._CACHE._monos
+                  if key == ctx.key) == [(("E", -1),), (("E", 1),)]
+    clear_form_cache()
+
+
+@pytest.mark.parametrize("ctx", FIELDS, ids=lambda c: f"q{c.q}")
+@pytest.mark.parametrize("name", GENERATOR_NAMES)
+def test_a_request_one_term_deeper_builds_exactly_that(ctx, name, builds):
+    P = least_prec(ctx, name) + 1
+    get_form(ctx, name, P)
+    assert builds[name] == [P]
+    assert get_form(ctx, name, P + 1).prec == P + 1
+    assert builds[name] == [P, P + 1]
+    assert forms._CACHE._gens[ctx.key, name].prec == P + 1
+
+
+@pytest.mark.parametrize("ctx", FIELDS, ids=lambda c: f"q{c.q}")
+@pytest.mark.parametrize("name", GENERATOR_NAMES)
+def test_get_form_returns_the_requested_precision(ctx, name):
+    # below the least precision too: the build is at the least precision,
+    # the series returned is cut to the request
+    least = least_prec(ctx, name)
+    clear_form_cache()
+    deep = forms._BUILDERS[name](ctx, least + 4)
+    for prec in sorted({1, least - 1, least, least + 1, least + 3} - {0}):
+        clear_form_cache()
+        got = get_form(ctx, name, prec)
+        assert got.prec == prec
+        assert_same_series(got, deep.truncate(prec))
     clear_form_cache()
 
 

@@ -1,12 +1,12 @@
 """Layer-by-layer times, written as JSON.
 
     PYTHONPATH=src python3 tools/layer_times.py OUT.json [--parent OLD.json]
-        [--section fields|builds|relations|sweeps|selftest ...]
+        [--section fields|builds|identities|relations|sweeps|selftest ...]
 
-Each ``--section`` runs one of the five sections below; given several
-times it runs each of them, and with none it runs all five.  On a
-2-vCPU machine a full run takes about 3.5 min and the builds section
-alone about 20 s.
+Each ``--section`` runs one of the six sections below; given several
+times it runs each of them, and with none it runs all six.  On a
+2-vCPU machine a full run takes about 3.5 min, the builds section alone
+about 20 s and the identities section under a second.
 
 Field construction: ``fieldpoly.FieldCtx(p, r)`` itself, not the cached
 ``make_field``, for (p, r) in (3, 2), (5, 2), (3, 3), (3, 10), (7, 7) and
@@ -26,6 +26,14 @@ from an empty form cache:
 * ``h``: ``build_h``, including the builds of Delta_W and E_T;
 * ``DeltaT_monic_sum``: ``build_DeltaT_from_monic_sum``, Delta_T as the
   sum of u(az)^(q-1) over monic a prime to T, for P up to 320 only.
+
+Identity checks: the four checks of the deep-q3 benchmark workload,
+imported from ``bench/workloads.py`` (E_T^(q-1) = Delta_W * Delta_T,
+h = -Delta_W * E_T, Delta_W = g1 + T^q * Delta_T, and Delta_T by the
+g1(Tz) route against the monic-sum route), at q = 3 and 40 and 72 terms,
+each from an empty form cache.  Each row records the check's time and,
+from one more cold run, its verdict and the calls of each generator
+builder, counted by the wrappers of ``bench/tracing.py``.
 
 Linear algebra: ``relation_report`` for q in {3, 5, 9}, type l = 1,
 r in {1, 3, 5} and N = 3, and for q = 3, k = 2, l = 1 (r = 0) and
@@ -48,9 +56,9 @@ tables.  Criterion 9 empties the cache before its first pass, so the
 ``run_selftest`` row records what criterion 9 leaves.
 
 Each time is the median of three runs in one process, in seconds to
-six decimals for field constructions and generator builds, four
-elsewhere.  The JSON records the host (platform, CPU count, Python and
-numpy versions) next to the times, so that figures from different
+six decimals for field constructions, generator builds and identity
+checks, four elsewhere.  The JSON records the host (platform, CPU count,
+Python and numpy versions) next to the times, so that figures from different
 machines are not mixed.  With ``--parent`` the results of an earlier
 output of this tool, for example one run with ``PYTHONPATH`` on an older
 tree, are kept under "parent" for the sections run, so that one record
@@ -82,6 +90,7 @@ PRECS = (80, 160, 320, 640)
 RELATION_L = 1
 RELATION_CASES = ([(q, r, 3) for q in FIELDS for r in (1, 3, 5)]
                   + [(3, 0, N) for N in (10, 20, 30)])  # (q, r, N)
+IDENTITY_TERMS = (40, 72)
 RUNS = 3
 
 ROUTES = {
@@ -140,6 +149,41 @@ def build_rows():
             for name, build in ROUTES.items():
                 if prec <= PREC_CAP.get(name, prec):
                     row[f"{name}_s"] = round(timed(build, ctx, prec), 6)
+            print(json.dumps(row), file=sys.stderr, flush=True)
+            rows.append(row)
+    return rows
+
+
+def builder_calls(tracing, check, ctx, terms):
+    """The verdict of one run of an identity check from an empty form
+    cache, and the calls of each generator builder it made, counted by the
+    wrappers of the traced benchmark run."""
+    forms.clear_form_cache()
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        tracer.begin_op(0, "identity")
+        ok = check(ctx, terms)[0]
+        tracer.end_op()
+    finally:
+        tracer.remove()
+    return ok, {name: tracer.stats[f"forms.build.{name}"].calls
+                for name in forms._BUILDERS}
+
+
+def identity_rows():
+    sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "bench"))
+    import tracing
+    import workloads
+    ctx = make_field(*FIELDS[3])
+    rows = []
+    for kind, check in workloads.IDENTITY_FNS.items():
+        for terms in IDENTITY_TERMS:
+            row = {"q": ctx.q, "kind": kind, "terms": terms,
+                   "s": round(timed(check, ctx, terms), 6)}
+            row["ok"], row["builder_calls"] = builder_calls(
+                tracing, check, ctx, terms)
             print(json.dumps(row), file=sys.stderr, flush=True)
             rows.append(row)
     return rows
@@ -216,6 +260,7 @@ def host():
 SECTIONS = {
     "fields": ("fields", field_rows),
     "builds": ("results", build_rows),
+    "identities": ("identities", identity_rows),
     "relations": ("relations", relation_rows),
     "sweeps": ("sweeps", sweep_rows),
     "selftest": ("selftest", selftest_rows),
@@ -234,9 +279,10 @@ def main(argv=None):
     sections = [name for name in SECTIONS
                 if args.section is None or name in args.section]
     out = {"what": "median time in seconds: field constructions, generator "
-                   "builds and selftest lines from an empty form cache, "
-                   "relation reports and sweeps from a warm one; the form "
-                   "cache after each selftest line",
+                   "builds, identity checks and selftest lines from an empty "
+                   "form cache, relation reports and sweeps from a warm "
+                   "one; the builder calls of each identity check and the "
+                   "form cache after each selftest line",
            "runs": RUNS, "host": host(), "sections": sections}
     keys = [SECTIONS[name][0] for name in sections]
     for name, key in zip(sections, keys):
